@@ -7,8 +7,10 @@
 // and writes machine-readable results (schemas in bench/README.md):
 //  * encode on 28x28 synthetic MNIST-shaped images at D=1024 (scalar vs
 //    word-parallel vs batched vs pool-parallel vs rematerializing), plus a
-//    stored-vs-rematerialize footprint + throughput D-sweep past LLC with
-//    bit-identity and >= 100x threshold-state reduction as hard gates
+//    stored-vs-rematerialize footprint + throughput D-sweep past LLC that
+//    also times single-thread blocked encode_batch at 1 and 64 images per
+//    call, with both bit-identities and >= 100x threshold-state reduction
+//    as hard gates
 //    -> BENCH_encode.json (override the path with UHD_BENCH_JSON, workload
 //    with UHD_BENCH_IMAGES);
 //  * training on the same MNIST-shaped workload (seed sequential loop vs
@@ -94,72 +96,54 @@ void BM_GeqKernelReference(benchmark::State& state) {
 }
 BENCHMARK(BM_GeqKernelReference)->Arg(1024)->Arg(8192);
 
-void BM_GeqKernelScalar(benchmark::State& state) {
-    // The portable fallback (compiler may auto-vectorize this one).
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint8_t> thresholds(dim);
-    for (std::size_t d = 0; d < dim; ++d) thresholds[d] = d % 16;
-    std::vector<std::uint16_t> tile(dim, 0);
-    for (auto _ : state) {
-        simd::geq_accumulate_scalar(7, thresholds.data(), dim, tile.data());
-        benchmark::DoNotOptimize(tile.data());
+/// 784 pixels x dim thresholds in the panel layout, and `images`
+/// quantized images, for the panel-kernel benchmarks.
+struct panel_workload {
+    static constexpr std::size_t pixels = 784;
+    std::vector<std::uint8_t> panels;
+    std::vector<std::uint8_t> q;
+    std::vector<std::int32_t> out;
+
+    panel_workload(std::size_t dim, std::size_t images)
+        : panels(pixels * dim), q(images * pixels), out(images * dim, 0) {
+        for (std::size_t i = 0; i < panels.size(); ++i) {
+            panels[i] = static_cast<std::uint8_t>((i * 2654435761u) % 16);
+        }
+        for (std::size_t i = 0; i < q.size(); ++i) q[i] = (i * 7) % 16;
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-BENCHMARK(BM_GeqKernelScalar)->Arg(1024)->Arg(8192);
+};
 
 void BM_GeqBlockKernel(benchmark::State& state) {
-    // The production whole-image kernel: 784 pixels x dim thresholds with
-    // register-tiled u8 counters.
+    // The production encode kernel: `images` quantized 784-pixel images x
+    // dim thresholds, register-blocked over images with u8 counters.
     const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t pixels = 784;
-    std::vector<std::uint8_t> bank(pixels * dim);
-    for (std::size_t i = 0; i < bank.size(); ++i) {
-        bank[i] = static_cast<std::uint8_t>((i * 2654435761u) % 16);
-    }
-    std::vector<std::uint8_t> q(pixels);
-    for (std::size_t p = 0; p < pixels; ++p) q[p] = p % 16;
-    std::vector<std::int32_t> out(dim, 0);
+    const auto images = static_cast<std::size_t>(state.range(1));
+    panel_workload w(dim, images);
     for (auto _ : state) {
-        kernels::geq_block_accumulate(q.data(), pixels, bank.data(), dim, dim,
-                                      out.data(), 15);
-        benchmark::DoNotOptimize(out.data());
+        kernels::geq_block_accumulate(w.q.data(), w.pixels, images, w.panels.data(),
+                                      dim, w.out.data(), 15);
+        benchmark::DoNotOptimize(w.out.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(pixels * dim));
+                            static_cast<std::int64_t>(images));
 }
-BENCHMARK(BM_GeqBlockKernel)->Arg(1024)->Arg(8192);
-
-void BM_GeqKernelSwar(benchmark::State& state) {
-    const auto dim = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint8_t> thresholds(dim);
-    for (std::size_t d = 0; d < dim; ++d) thresholds[d] = d % 16;
-    std::vector<std::uint16_t> tile(dim, 0);
-    for (auto _ : state) {
-        simd::geq_accumulate_swar(7, thresholds.data(), dim, tile.data());
-        benchmark::DoNotOptimize(tile.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
-}
-BENCHMARK(BM_GeqKernelSwar)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_GeqBlockKernel)->Args({1024, 1})->Args({1024, 64})->Args({8192, 1})->Args({8192, 64});
 
 /// Per-backend benchmarks of the registry tables themselves (one set per
 /// admissible backend, registered dynamically in main — see
 /// register_backend_benchmarks). `table` is the backend under test.
-void BM_BackendGeqKernel(benchmark::State& state,
-                         const kernels::kernel_table* table) {
+void BM_BackendGeqBlockKernel(benchmark::State& state,
+                              const kernels::kernel_table* table) {
     const auto dim = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint8_t> thresholds(dim);
-    for (std::size_t d = 0; d < dim; ++d) thresholds[d] = d % 16;
-    std::vector<std::uint16_t> tile(dim, 0);
+    const auto images = static_cast<std::size_t>(state.range(1));
+    panel_workload w(dim, images);
     for (auto _ : state) {
-        table->geq_accumulate(7, thresholds.data(), dim, tile.data(), 15);
-        benchmark::DoNotOptimize(tile.data());
+        table->geq_block_accumulate(w.q.data(), w.pixels, images, w.panels.data(), dim,
+                                    w.out.data(), 15);
+        benchmark::DoNotOptimize(w.out.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(dim));
+                            static_cast<std::int64_t>(images));
 }
 
 void BM_BackendHammingArgmin(benchmark::State& state,
@@ -181,15 +165,15 @@ void BM_BackendHammingArgmin(benchmark::State& state,
                             static_cast<std::int64_t>(classes * dim));
 }
 
-/// One BM_BackendGeqKernel / BM_BackendHammingArgmin pair per backend the
+/// One BM_BackendGeqBlockKernel / BM_BackendHammingArgmin pair per backend the
 /// probe admits on this machine, so the per-ISA cost is visible in one run.
 void register_backend_benchmarks() {
     for (const kernels::kernel_table* table : kernels::admissible_backends()) {
         const std::string suffix = std::string("_") + table->name;
-        benchmark::RegisterBenchmark(("BM_BackendGeqKernel" + suffix).c_str(),
-                                     BM_BackendGeqKernel, table)
-            ->Arg(1024)
-            ->Arg(8192);
+        benchmark::RegisterBenchmark(("BM_BackendGeqBlockKernel" + suffix).c_str(),
+                                     BM_BackendGeqBlockKernel, table)
+            ->Args({1024, 1})
+            ->Args({1024, 64});
         benchmark::RegisterBenchmark(("BM_BackendHammingArgmin" + suffix).c_str(),
                                      BM_BackendHammingArgmin, table)
             ->Arg(1024)
@@ -502,22 +486,30 @@ struct sweep_row {
     double stored_gcmp_per_s;
     double remat_gcmp_per_s;
     bool identical;
+    // Single-thread encode_batch rates through the image-blocked panel
+    // kernel: one image per call, and batch_images (64 unless the
+    // workload is smaller) per call.
+    double batch1_img_per_s;
+    double batch_img_per_s;
+    bool batch_identical; ///< both batch shapes equal the encode_scalar oracle
 };
 
-/// Hard gates of the encode JSON (schema v3): remat output bit-identical
-/// to stored at every swept D, and >= 100x threshold-state reduction at
-/// the paper's 784 x 8192 point. throughput_hold is reported alongside:
-/// remat compare-rate at the largest D (bank far past LLC) relative to the
-/// smallest D.
+/// Hard gates of the encode JSON (schema v4): remat output bit-identical
+/// to stored at every swept D, blocked encode_batch output bit-identical to
+/// the encode_scalar oracle at every swept D and both batch shapes, and
+/// >= 100x threshold-state reduction at the paper's 784 x 8192 point.
+/// throughput_hold is reported alongside: remat compare-rate at the
+/// largest D (bank far past LLC) relative to the smallest D.
 struct encode_gates {
     bool bit_identity;
+    bool batch_bit_identity;
     bool footprint_100x;
     double throughput_hold;
 };
 
 void write_json(const std::string& path, const data::image_shape& shape,
                 std::size_t dim, unsigned quant_levels, std::size_t images,
-                const std::vector<throughput_entry>& entries,
+                std::size_t batch_images, const std::vector<throughput_entry>& entries,
                 const std::vector<sweep_row>& sweep, const encode_gates& gates) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -526,11 +518,11 @@ void write_json(const std::string& path, const data::image_shape& shape,
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"encode\",\n");
-    std::fprintf(f, "  \"schema_version\": 3,\n");
+    std::fprintf(f, "  \"schema_version\": 4,\n");
     std::fprintf(f,
                  "  \"workload\": {\"rows\": %zu, \"cols\": %zu, \"dim\": %zu, "
-                 "\"quant_levels\": %u, \"images\": %zu},\n",
-                 shape.rows, shape.cols, dim, quant_levels, images);
+                 "\"quant_levels\": %u, \"images\": %zu, \"batch_images\": %zu},\n",
+                 shape.rows, shape.cols, dim, quant_levels, images, batch_images);
     write_backend_json(f);
     std::fprintf(f, "  \"entries\": [\n");
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -559,17 +551,21 @@ void write_json(const std::string& path, const data::image_shape& shape,
         std::fprintf(f,
                      "    {\"dim\": %zu, \"stored_img_per_s\": %.1f, "
                      "\"remat_img_per_s\": %.1f, \"stored_gcmp_per_s\": %.3f, "
-                     "\"remat_gcmp_per_s\": %.3f, \"identical\": %s}%s\n",
+                     "\"remat_gcmp_per_s\": %.3f, \"identical\": %s, "
+                     "\"batch1_img_per_s\": %.1f, \"batch_img_per_s\": %.1f, "
+                     "\"batch_identical\": %s}%s\n",
                      r.dim, r.stored_img_per_s, r.remat_img_per_s,
                      r.stored_gcmp_per_s, r.remat_gcmp_per_s,
-                     r.identical ? "true" : "false",
+                     r.identical ? "true" : "false", r.batch1_img_per_s,
+                     r.batch_img_per_s, r.batch_identical ? "true" : "false",
                      i + 1 < sweep.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
-                 "  \"gates\": {\"bit_identity\": %s, \"footprint_100x\": %s, "
-                 "\"throughput_hold\": %.3f}\n",
+                 "  \"gates\": {\"bit_identity\": %s, \"batch_bit_identity\": %s, "
+                 "\"footprint_100x\": %s, \"throughput_hold\": %.3f}\n",
                  gates.bit_identity ? "true" : "false",
+                 gates.batch_bit_identity ? "true" : "false",
                  gates.footprint_100x ? "true" : "false", gates.throughput_hold);
     std::fprintf(f, "}\n");
     std::fclose(f);
@@ -639,8 +635,15 @@ int run_encode_throughput() {
     std::printf("\n== encode footprint + D-sweep: 28x28, stored vs rematerialize ==\n");
     std::vector<sweep_row> sweep;
     bool bit_identity = true;
+    bool batch_bit_identity = true;
     bool footprint_100x = false;
     const std::size_t sweep_images = std::min<std::size_t>(images_n, 16);
+    const std::size_t batch_images = std::min<std::size_t>(images_n, 64);
+    std::vector<std::uint8_t> batch_flat;
+    for (std::size_t i = 0; i < batch_images; ++i) {
+        const auto img = ds.image(i);
+        batch_flat.insert(batch_flat.end(), img.begin(), img.end());
+    }
     for (const std::size_t d : {1024u, 4096u, 8192u, 16384u}) {
         core::uhd_config scfg;
         scfg.dim = d;
@@ -678,30 +681,61 @@ int run_encode_throughput() {
             row.stored_img_per_s * static_cast<double>(d) * pixels * 1e-9;
         row.remat_gcmp_per_s =
             row.remat_img_per_s * static_cast<double>(d) * pixels * 1e-9;
+
+        // Blocked encode_batch on one thread: one image per call, then the
+        // whole batch in one call; both must equal the scalar oracle.
+        const std::size_t px = ds.shape().pixels();
+        std::vector<std::int32_t> one_each(batch_images * d);
+        std::vector<std::int32_t> blocked(batch_images * d);
+        stopwatch watch;
+        for (std::size_t i = 0; i < batch_images; ++i) {
+            stored.encode_batch(std::span<const std::uint8_t>(batch_flat).subspan(i * px, px),
+                                1, std::span<std::int32_t>(one_each).subspan(i * d, d));
+        }
+        row.batch1_img_per_s = static_cast<double>(batch_images) / watch.seconds();
+        watch.reset();
+        stored.encode_batch(batch_flat, batch_images, blocked);
+        row.batch_img_per_s = static_cast<double>(batch_images) / watch.seconds();
+        row.batch_identical = one_each == blocked;
+        for (std::size_t i = 0; i < sweep_images && row.batch_identical; ++i) {
+            stored.encode_scalar(ds.image(i), a);
+            row.batch_identical =
+                std::equal(a.begin(), a.end(), blocked.begin() + static_cast<std::ptrdiff_t>(i * d));
+        }
+        batch_bit_identity = batch_bit_identity && row.batch_identical;
         std::printf("D=%-6zu stored %9zu B  remat %6zu B  (%6.1fx)  "
-                    "%7.1f vs %7.1f img/s  %.2f vs %.2f Gcmp/s  %s\n",
+                    "%7.1f vs %7.1f img/s  %.2f vs %.2f Gcmp/s  %s  "
+                    "batch x1 %8.1f  x%zu %8.1f img/s  %s\n",
                     d, row.stored_bytes, row.remat_bytes, row.reduction,
                     row.stored_img_per_s, row.remat_img_per_s, row.stored_gcmp_per_s,
-                    row.remat_gcmp_per_s, row.identical ? "identical" : "DIVERGED");
+                    row.remat_gcmp_per_s, row.identical ? "identical" : "DIVERGED",
+                    row.batch1_img_per_s, batch_images, row.batch_img_per_s,
+                    row.batch_identical ? "identical" : "DIVERGED");
         sweep.push_back(row);
     }
 
     encode_gates gates;
     gates.bit_identity = bit_identity;
+    gates.batch_bit_identity = batch_bit_identity;
     gates.footprint_100x = footprint_100x;
     gates.throughput_hold =
         sweep.back().remat_gcmp_per_s / sweep.front().remat_gcmp_per_s;
-    std::printf("gates: bit_identity %s, footprint_100x@8192 %s, "
+    std::printf("gates: bit_identity %s, batch_bit_identity %s, footprint_100x@8192 %s, "
                 "remat rate hold D=%zu->%zu: %.2fx\n",
                 gates.bit_identity ? "PASS" : "FAIL",
+                gates.batch_bit_identity ? "PASS" : "FAIL",
                 gates.footprint_100x ? "PASS" : "FAIL", sweep.front().dim,
                 sweep.back().dim, gates.throughput_hold);
 
     write_json(env_string("UHD_BENCH_JSON", "BENCH_encode.json"), ds.shape(), dim,
-               cfg.quant_levels, images_n, entries, sweep, gates);
+               cfg.quant_levels, images_n, batch_images, entries, sweep, gates);
     if (!gates.bit_identity) {
         std::fprintf(stderr,
                      "FAIL: rematerialized encode diverged from the stored bank\n");
+        return 1;
+    }
+    if (!gates.batch_bit_identity) {
+        std::fprintf(stderr, "FAIL: blocked encode_batch diverged from encode_scalar\n");
         return 1;
     }
     if (!gates.footprint_100x) {

@@ -47,6 +47,28 @@ struct argmin2_result {
     std::uint64_t runner_up; ///< second-best distance (all-ones when n_rows < 2)
 };
 
+/// Width of one dimension panel of the stored threshold bank. The bank is
+/// panel-major: for each run of bank_panel_dims dimensions, every pixel's
+/// thresholds for that run are contiguous (pixel-major inside the panel),
+/// so an encode streams one panel (npix * 256 bytes at most) through the
+/// cache for a whole block of images. The last panel is narrower when dim
+/// is not a multiple of the width. A multiple of 64, so with a 64-byte
+/// aligned bank every full-panel row starts on a cache line.
+inline constexpr std::size_t bank_panel_dims = 256;
+
+/// Byte offset of threshold (pixel p, dimension d) in a panel-major bank of
+/// npix pixels x dim dimensions. Panel k starts at k * bank_panel_dims *
+/// npix and holds rows of min(bank_panel_dims, dim - k * bank_panel_dims)
+/// bytes, so the whole bank is exactly npix * dim bytes.
+[[nodiscard]] constexpr std::size_t bank_panel_offset(std::size_t npix,
+                                                      std::size_t dim, std::size_t p,
+                                                      std::size_t d) noexcept {
+    const std::size_t d0 = d - d % bank_panel_dims;
+    const std::size_t width =
+        dim - d0 < bank_panel_dims ? dim - d0 : bank_panel_dims;
+    return d0 * npix + p * width + (d - d0);
+}
+
 /// Number of 64-bit words needed for `n` packed sign bits.
 [[nodiscard]] constexpr std::size_t sign_words(std::size_t n) noexcept {
     return (n + 63) / 64;
@@ -63,17 +85,18 @@ struct kernel_table {
     /// True when this backend may run on the probed CPU.
     bool (*supported)(const cpu_features& features);
 
-    /// geq16[d] += (q >= thresholds[d]) for d in [0, dim). `max_value`
-    /// upper-bounds q and every threshold (backends whose wide path has a
-    /// value precondition fall back internally when it is exceeded).
-    void (*geq_accumulate)(std::uint8_t q, const std::uint8_t* thresholds,
-                           std::size_t dim, std::uint16_t* geq16,
-                           std::uint8_t max_value);
-
-    /// out[d] += sum_{p<npix} (q[p] >= bank[p*stride + d]) — the whole
-    /// encode inner double-loop (same `max_value` contract).
+    /// Image-blocked encode over the dimension-panel bank:
+    /// out[i * dim + d] += sum_{p<npix} (q[i * npix + p] >= T(p, d)) for
+    /// every image i in [0, n_images) and d in [0, dim), where q holds
+    /// n_images quantized images back-to-back and T(p, d) =
+    /// panels[bank_panel_offset(npix, dim, p, d)]. `max_value` upper-bounds
+    /// q and every threshold (backends whose wide path has a value
+    /// precondition fall back internally when it is exceeded). Wide
+    /// backends register-block several images x one panel slice, so each
+    /// threshold is loaded once per image block instead of once per image;
+    /// the counts are exact integers, so every blocking is bit-identical.
     void (*geq_block_accumulate)(const std::uint8_t* q, std::size_t npix,
-                                 const std::uint8_t* bank, std::size_t stride,
+                                 std::size_t n_images, const std::uint8_t* panels,
                                  std::size_t dim, std::int32_t* out,
                                  std::uint8_t max_value);
 
@@ -203,17 +226,11 @@ void force_backend(std::string_view request);
 // cost per call is one atomic load plus an indirect call, amortized over
 // whole-image / whole-row kernel bodies.
 
-inline void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds,
-                           std::size_t dim, std::uint16_t* geq16,
-                           std::uint8_t max_value) {
-    active().geq_accumulate(q, thresholds, dim, geq16, max_value);
-}
-
 inline void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                                 const std::uint8_t* bank, std::size_t stride,
+                                 std::size_t n_images, const std::uint8_t* panels,
                                  std::size_t dim, std::int32_t* out,
                                  std::uint8_t max_value) {
-    active().geq_block_accumulate(q, npix, bank, stride, dim, out, max_value);
+    active().geq_block_accumulate(q, npix, n_images, panels, dim, out, max_value);
 }
 
 inline void geq_rematerialize_accumulate(const std::uint32_t* directions,

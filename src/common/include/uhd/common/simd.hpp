@@ -56,6 +56,63 @@ using kernels::argmin2_result;
 using kernels::argmin2_u64;
 using kernels::sign_words;
 
+/// True byte-at-a-time oracle: geq16[d] += (q >= thresholds[d]) for d in
+/// [0, dim), pinned to scalar code (see UHD_SCALAR_REFERENCE) so speedup
+/// numbers are measured against a genuinely scalar baseline.
+UHD_SCALAR_REFERENCE inline void geq_accumulate_reference(
+    std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
+    std::uint16_t* geq16) noexcept {
+    UHD_NOVECTOR_LOOP
+    for (std::size_t d = 0; d < dim; ++d) {
+        geq16[d] = static_cast<std::uint16_t>(geq16[d] + (q >= thresholds[d]));
+    }
+}
+
+/// Flush a u16 tile into the int32 accumulator: out[d] += geq16[d].
+inline void add_u16_to_i32(const std::uint16_t* geq16, std::size_t dim,
+                           std::int32_t* out) noexcept {
+    for (std::size_t d = 0; d < dim; ++d) out[d] += geq16[d];
+}
+
+// --- image-blocked panel kernels ------------------------------------------
+//
+// out[i * dim + d] += sum_{p<npix} (q[i * npix + p] >= T(p, d)) over the
+// panel-major bank (kernels::bank_panel_offset): the whole encode inner
+// loop for a block of images in one call. The wide implementations walk
+// one panel at a time and register-block several images x a panel slice,
+// so each threshold row is loaded once per image block; per-dimension
+// counters live in registers as u8 lanes, flushed into the int32 output
+// every 255 pixels.
+
+/// Pinned reference for the panel kernel: per image and panel, the pixel
+/// rows through the pinned u16 oracle, flushed before a u16 lane can
+/// overflow. The scalar backend runs exactly this.
+inline void geq_block_accumulate_reference(const std::uint8_t* q, std::size_t npix,
+                                           std::size_t n_images,
+                                           const std::uint8_t* panels,
+                                           std::size_t dim, std::int32_t* out) {
+    constexpr std::size_t width_max = kernels::bank_panel_dims;
+    for (std::size_t i = 0; i < n_images; ++i) {
+        for (std::size_t d0 = 0; d0 < dim; d0 += width_max) {
+            const std::size_t width = std::min(width_max, dim - d0);
+            const std::uint8_t* panel = panels + d0 * npix;
+            std::int32_t* dst = out + i * dim + d0;
+            std::uint16_t tile[width_max] = {};
+            std::size_t pixels_in_tile = 0;
+            for (std::size_t p = 0; p < npix; ++p) {
+                geq_accumulate_reference(q[i * npix + p], panel + p * width, width,
+                                         tile);
+                if (++pixels_in_tile == 65535) {
+                    add_u16_to_i32(tile, width, dst);
+                    std::fill_n(tile, width, std::uint16_t{0});
+                    pixels_in_tile = 0;
+                }
+            }
+            if (pixels_in_tile != 0) add_u16_to_i32(tile, width, dst);
+        }
+    }
+}
+
 /// Every byte of the word set to `b`.
 [[nodiscard]] constexpr std::uint64_t splat8(std::uint8_t b) noexcept {
     return 0x0101010101010101ULL * b;
@@ -75,124 +132,86 @@ inline constexpr std::uint8_t swar_max_value = 127;
     return ((q_splat | high) - x) & high;
 }
 
-/// Scalar kernel: geq16[d] += (q >= thresholds[d]) for d in [0, dim).
-/// Used for vector-width tails and as the portable fallback; the compiler
-/// may auto-vectorize it.
-inline void geq_accumulate_scalar(std::uint8_t q, const std::uint8_t* thresholds,
-                                  std::size_t dim, std::uint16_t* geq16) noexcept {
-    for (std::size_t d = 0; d < dim; ++d) {
-        geq16[d] = static_cast<std::uint16_t>(geq16[d] + (q >= thresholds[d]));
-    }
-}
-
-/// True byte-at-a-time oracle: same contract as geq_accumulate_scalar but
-/// pinned to scalar code (see UHD_SCALAR_REFERENCE) so speedup numbers are
-/// measured against a genuinely scalar baseline.
-UHD_SCALAR_REFERENCE inline void geq_accumulate_reference(
-    std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-    std::uint16_t* geq16) noexcept {
-    UHD_NOVECTOR_LOOP
-    for (std::size_t d = 0; d < dim; ++d) {
-        geq16[d] = static_cast<std::uint16_t>(geq16[d] + (q >= thresholds[d]));
-    }
-}
-
-/// SWAR kernel: 8 thresholds per 64-bit step. Preconditions: q <= 127 and
-/// every threshold <= 127 (guaranteed when quant_levels <= 128).
-inline void geq_accumulate_swar(std::uint8_t q, const std::uint8_t* thresholds,
-                                std::size_t dim, std::uint16_t* geq16) noexcept {
-    const std::uint64_t q_splat = splat8(q);
-    std::size_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        std::uint64_t x;
-        __builtin_memcpy(&x, thresholds + d, 8);
-        // 0/1 per byte of the comparison result.
-        const std::uint64_t ones = geq_mask_swar(q_splat, x) >> 7;
-        // Spread the eight 0/1 bytes into two words of four u16 lanes each
-        // and add them into the accumulator tile; lane adds cannot carry
-        // into a neighbour because each lane grows by at most 1 per call
-        // and the caller flushes before 65535 pixels.
-        const std::uint64_t lo = ((ones & 0x00000000000000FFULL)) |
-                                 ((ones & 0x000000000000FF00ULL) << 8) |
-                                 ((ones & 0x0000000000FF0000ULL) << 16) |
-                                 ((ones & 0x00000000FF000000ULL) << 24);
-        const std::uint64_t hi_bytes = ones >> 32;
-        const std::uint64_t hi = ((hi_bytes & 0x00000000000000FFULL)) |
-                                 ((hi_bytes & 0x000000000000FF00ULL) << 8) |
-                                 ((hi_bytes & 0x0000000000FF0000ULL) << 16) |
-                                 ((hi_bytes & 0x00000000FF000000ULL) << 24);
-        std::uint64_t acc_lo;
-        std::uint64_t acc_hi;
-        __builtin_memcpy(&acc_lo, geq16 + d, 8);
-        __builtin_memcpy(&acc_hi, geq16 + d + 4, 8);
-        acc_lo += lo;
-        acc_hi += hi;
-        __builtin_memcpy(geq16 + d, &acc_lo, 8);
-        __builtin_memcpy(geq16 + d + 4, &acc_hi, 8);
-    }
-    geq_accumulate_scalar(q, thresholds + d, dim - d, geq16 + d);
-}
-
-/// Flush a u16 tile into the int32 accumulator: out[d] += geq16[d].
-inline void add_u16_to_i32(const std::uint16_t* geq16, std::size_t dim,
-                           std::int32_t* out) noexcept {
-    for (std::size_t d = 0; d < dim; ++d) out[d] += geq16[d];
-}
-
-// --- whole-image block kernels --------------------------------------------
-//
-// out[d] += sum_{p in [0, npix)} (q[p] >= bank[p * stride + d]) — the full
-// encode inner double-loop in one call. The wide implementations tile the
-// dimension axis so the per-dimension counters live in registers as u8
-// lanes, flushed into the int32 output at least every 255 pixels.
-
-/// Portable fallback for the block kernel: per-pixel rows through the u16
-/// kernel, flushed before a u16 lane can overflow.
-inline void geq_block_accumulate_scalar(const std::uint8_t* q, std::size_t npix,
-                                        const std::uint8_t* bank, std::size_t stride,
-                                        std::size_t dim, std::int32_t* out) {
-    std::vector<std::uint16_t> tile(dim, 0);
-    std::size_t pixels_in_tile = 0;
-    for (std::size_t p = 0; p < npix; ++p) {
-        geq_accumulate_scalar(q[p], bank + p * stride, dim, tile.data());
-        if (++pixels_in_tile == 65535) {
-            add_u16_to_i32(tile.data(), dim, out);
-            std::fill(tile.begin(), tile.end(), std::uint16_t{0});
-            pixels_in_tile = 0;
-        }
-    }
-    if (pixels_in_tile != 0) add_u16_to_i32(tile.data(), dim, out);
-}
-
-/// SWAR block kernel: 8-dimension tiles with eight u8 counters packed in
-/// one u64, flushed every 255 pixels. Preconditions as geq_accumulate_swar
-/// (all values <= 127).
-inline void geq_block_accumulate_swar(const std::uint8_t* q, std::size_t npix,
-                                      const std::uint8_t* bank, std::size_t stride,
-                                      std::size_t dim, std::int32_t* out) {
+/// SWAR register tile: NB images x NW threshold words (8 dimensions each)
+/// of one panel slice, eight u8 counters per u64, flushed every 255
+/// pixels. `slice` points at pixel 0 of the slice, rows `width` apart.
+template <std::size_t NB, std::size_t NW>
+inline void geq_panel_tile_swar(const std::uint8_t* q, std::size_t npix,
+                                const std::uint8_t* slice, std::size_t width,
+                                std::size_t dim, std::int32_t* out) noexcept {
     constexpr std::uint64_t low_bits = 0x0101010101010101ULL;
-    std::size_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        std::uint64_t counters = 0;
-        std::size_t pixels_in_tile = 0;
-        const auto flush = [&] {
-            for (int lane = 0; lane < 8; ++lane) {
-                out[d + static_cast<std::size_t>(lane)] +=
-                    static_cast<std::int32_t>((counters >> (8 * lane)) & 0xFF);
+    for (std::size_t p0 = 0; p0 < npix; p0 += 255) {
+        const std::size_t p_end = std::min(npix, p0 + 255);
+        std::uint64_t counters[NB][NW] = {};
+        for (std::size_t p = p0; p < p_end; ++p) {
+            std::uint64_t x[NW];
+            for (std::size_t w = 0; w < NW; ++w) {
+                __builtin_memcpy(&x[w], slice + p * width + 8 * w, 8);
             }
-            counters = 0;
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            std::uint64_t x;
-            __builtin_memcpy(&x, bank + p * stride + d, 8);
-            counters += (geq_mask_swar(splat8(q[p]), x) >> 7) & low_bits;
-            if (++pixels_in_tile == 255) flush();
+            for (std::size_t i = 0; i < NB; ++i) {
+                const std::uint64_t q_splat = splat8(q[i * npix + p]);
+                for (std::size_t w = 0; w < NW; ++w) {
+                    counters[i][w] += (geq_mask_swar(q_splat, x[w]) >> 7) & low_bits;
+                }
+            }
         }
-        if (pixels_in_tile != 0) flush();
+        for (std::size_t i = 0; i < NB; ++i) {
+            for (std::size_t w = 0; w < NW; ++w) {
+                for (std::size_t lane = 0; lane < 8; ++lane) {
+                    out[i * dim + 8 * w + lane] +=
+                        static_cast<std::int32_t>((counters[i][w] >> (8 * lane)) & 0xFF);
+                }
+            }
+        }
     }
-    if (d < dim) {
-        geq_block_accumulate_scalar(q, npix, bank + d, stride, dim - d, out + d);
+}
+
+/// One panel for NB images: 16-dimension slices, then an 8-dimension one,
+/// then the ragged bytes one dimension at a time.
+template <std::size_t NB>
+inline void geq_panel_swar(const std::uint8_t* q, std::size_t npix,
+                           const std::uint8_t* panel, std::size_t width,
+                           std::size_t dim, std::int32_t* out) noexcept {
+    std::size_t j = 0;
+    for (; j + 16 <= width; j += 16) {
+        geq_panel_tile_swar<NB, 2>(q, npix, panel + j, width, dim, out + j);
+    }
+    for (; j + 8 <= width; j += 8) {
+        geq_panel_tile_swar<NB, 1>(q, npix, panel + j, width, dim, out + j);
+    }
+    for (; j < width; ++j) {
+        for (std::size_t i = 0; i < NB; ++i) {
+            std::int32_t count = 0;
+            for (std::size_t p = 0; p < npix; ++p) {
+                count += q[i * npix + p] >= panel[p * width + j] ? 1 : 0;
+            }
+            out[i * dim + j] += count;
+        }
+    }
+}
+
+/// SWAR panel kernel: blocks of four images per panel pass. Preconditions:
+/// q and every threshold <= swar_max_value (guaranteed when quant_levels
+/// <= 128).
+inline void geq_block_accumulate_swar(const std::uint8_t* q, std::size_t npix,
+                                      std::size_t n_images, const std::uint8_t* panels,
+                                      std::size_t dim, std::int32_t* out) noexcept {
+    constexpr std::size_t width_max = kernels::bank_panel_dims;
+    for (std::size_t d0 = 0; d0 < dim; d0 += width_max) {
+        const std::size_t width = std::min(width_max, dim - d0);
+        const std::uint8_t* panel = panels + d0 * npix;
+        std::size_t i = 0;
+        for (; i + 4 <= n_images; i += 4) {
+            geq_panel_swar<4>(q + i * npix, npix, panel, width, dim, out + i * dim + d0);
+        }
+        const std::uint8_t* q_rest = q + i * npix;
+        std::int32_t* out_rest = out + i * dim + d0;
+        switch (n_images - i) {
+        case 3: geq_panel_swar<3>(q_rest, npix, panel, width, dim, out_rest); break;
+        case 2: geq_panel_swar<2>(q_rest, npix, panel, width, dim, out_rest); break;
+        case 1: geq_panel_swar<1>(q_rest, npix, panel, width, dim, out_rest); break;
+        default: break;
+        }
     }
 }
 

@@ -28,102 +28,102 @@ namespace {
 
 bool supported(const cpu_features& features) { return features.avx2_usable(); }
 
-// --- scalar tails (TU-local copies) ---------------------------------------
+// --- image-blocked panel kernel ------------------------------------------
 
-void geq_tail(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-              std::uint16_t* geq16) {
-    for (std::size_t d = 0; d < dim; ++d) {
-        geq16[d] = static_cast<std::uint16_t>(geq16[d] + (q >= thresholds[d]));
+/// Add 32 u8 counters into 32 int32 accumulators (zero-extended 8 at a
+/// time).
+void flush_counters(__m256i counters, std::int32_t* dst) {
+    const __m128i lo = _mm256_castsi256_si128(counters);
+    const __m128i hi = _mm256_extracti128_si256(counters, 1);
+    const __m128i parts[4] = {lo, _mm_srli_si128(lo, 8), hi, _mm_srli_si128(hi, 8)};
+    for (int k = 0; k < 4; ++k) {
+        __m256i* acc = reinterpret_cast<__m256i*>(dst + 8 * k);
+        _mm256_storeu_si256(acc, _mm256_add_epi32(_mm256_loadu_si256(acc),
+                                                  _mm256_cvtepu8_epi32(parts[k])));
     }
 }
 
-// --- threshold compare-accumulate -----------------------------------------
-
-/// 32 thresholds per step, any byte values. The unsigned comparison is
-/// max_epu8(q, x) == q; the 0xFF/0x00 byte mask sign-extends to -1/0 in u16
-/// lanes, so subtracting it adds the comparison result.
-void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-                    std::uint16_t* geq16, std::uint8_t /*max_value*/) {
-    const __m256i vq = _mm256_set1_epi8(static_cast<char>(q));
-    std::size_t d = 0;
-    for (; d + 32 <= dim; d += 32) {
-        const __m256i row =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(thresholds + d));
-        const __m256i mask = _mm256_cmpeq_epi8(_mm256_max_epu8(vq, row), vq);
-        const __m256i lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(mask));
-        const __m256i hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(mask, 1));
-        __m256i* acc = reinterpret_cast<__m256i*>(geq16 + d);
-        _mm256_storeu_si256(acc, _mm256_sub_epi16(_mm256_loadu_si256(acc), lo));
-        __m256i* acc2 = reinterpret_cast<__m256i*>(geq16 + d + 16);
-        _mm256_storeu_si256(acc2, _mm256_sub_epi16(_mm256_loadu_si256(acc2), hi));
+/// Register tile: NB images x NV 32-dimension vectors of one panel slice,
+/// u8 counters flushed every 255 pixels. Per pixel the NV threshold
+/// vectors are loaded once and compared against every image's broadcast
+/// intensity: the unsigned test q >= x is max_epu8(q, x) == q, and
+/// subtracting the 0xFF mask adds 1.
+template <int NB, int NV>
+void geq_panel_tile(const std::uint8_t* q, std::size_t npix, const std::uint8_t* slice,
+                    std::size_t width, std::size_t dim, std::int32_t* out) {
+    for (std::size_t p0 = 0; p0 < npix; p0 += 255) {
+        const std::size_t p_end = npix - p0 < 255 ? npix : p0 + 255;
+        __m256i counters[NB][NV];
+        for (int i = 0; i < NB; ++i) {
+            for (int v = 0; v < NV; ++v) counters[i][v] = _mm256_setzero_si256();
+        }
+        for (std::size_t p = p0; p < p_end; ++p) {
+            const std::uint8_t* row = slice + p * width;
+            __m256i x[NV];
+            for (int v = 0; v < NV; ++v) {
+                x[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 32 * v));
+            }
+            for (int i = 0; i < NB; ++i) {
+                const __m256i vq = _mm256_set1_epi8(static_cast<char>(q[i * npix + p]));
+                for (int v = 0; v < NV; ++v) {
+                    const __m256i mask = _mm256_cmpeq_epi8(_mm256_max_epu8(vq, x[v]), vq);
+                    counters[i][v] = _mm256_sub_epi8(counters[i][v], mask);
+                }
+            }
+        }
+        for (int i = 0; i < NB; ++i) {
+            for (int v = 0; v < NV; ++v) {
+                flush_counters(counters[i][v], out + i * dim + 32 * v);
+            }
+        }
     }
-    geq_tail(q, thresholds + d, dim - d, geq16 + d);
 }
 
-/// Block kernel: 128-dimension tiles held in four ymm registers of u8
-/// counters. Per pixel and 32 dimensions the loop is one load, an unsigned
-/// max+compare, and a byte subtract (the 0xFF mask adds 1) — no
-/// accumulator memory traffic until the every-255-pixel flush. Dimension
-/// tails fall back to the u16 row kernel above, flushed every 65535 pixels.
-void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                          const std::uint8_t* bank, std::size_t stride,
-                          std::size_t dim, std::int32_t* out,
-                          std::uint8_t max_value) {
-    constexpr std::size_t tile_dims = 128;
-    const auto flush32 = [](__m256i counters, std::int32_t* dst) {
-        alignas(32) std::uint8_t lanes[32];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), counters);
-        for (int i = 0; i < 32; ++i) dst[i] += lanes[i];
-    };
-    std::size_t d = 0;
-    for (; d + tile_dims <= dim; d += tile_dims) {
-        __m256i c0 = _mm256_setzero_si256();
-        __m256i c1 = _mm256_setzero_si256();
-        __m256i c2 = _mm256_setzero_si256();
-        __m256i c3 = _mm256_setzero_si256();
-        std::size_t pixels_in_tile = 0;
-        const auto flush = [&] {
-            flush32(c0, out + d);
-            flush32(c1, out + d + 32);
-            flush32(c2, out + d + 64);
-            flush32(c3, out + d + 96);
-            c0 = c1 = c2 = c3 = _mm256_setzero_si256();
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            const __m256i vq = _mm256_set1_epi8(static_cast<char>(q[p]));
-            const std::uint8_t* row = bank + p * stride + d;
-            const auto step = [&](const std::uint8_t* src, __m256i counters) {
-                const __m256i x =
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
-                const __m256i mask = _mm256_cmpeq_epi8(_mm256_max_epu8(vq, x), vq);
-                return _mm256_sub_epi8(counters, mask);
-            };
-            c0 = step(row, c0);
-            c1 = step(row + 32, c1);
-            c2 = step(row + 64, c2);
-            c3 = step(row + 96, c3);
-            if (++pixels_in_tile == 255) flush();
-        }
-        if (pixels_in_tile != 0) flush();
+/// One panel for NB images: slices as wide as the register file allows
+/// (8 counter vectors), then single vectors, then the ragged < 32 bytes
+/// one dimension at a time.
+template <int NB>
+void geq_panel(const std::uint8_t* q, std::size_t npix, const std::uint8_t* panel,
+               std::size_t width, std::size_t dim, std::int32_t* out) {
+    constexpr int wide = NB == 1 ? 8 : NB == 2 ? 4 : 2;
+    std::size_t j = 0;
+    for (; j + 32 * wide <= width; j += 32 * wide) {
+        geq_panel_tile<NB, wide>(q, npix, panel + j, width, dim, out + j);
     }
-    if (d < dim) {
-        // Row-kernel fallback over the remaining dimensions with u16
-        // counters, flushed before a lane can overflow.
-        const std::size_t tail_dim = dim - d;
-        std::uint16_t tile16[tile_dims]; // tail_dim < 128
-        for (std::size_t i = 0; i < tail_dim; ++i) tile16[i] = 0;
-        std::size_t pixels_in_tile = 0;
-        const auto flush16 = [&] {
-            for (std::size_t i = 0; i < tail_dim; ++i) out[d + i] += tile16[i];
-            for (std::size_t i = 0; i < tail_dim; ++i) tile16[i] = 0;
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            geq_accumulate(q[p], bank + p * stride + d, tail_dim, tile16, max_value);
-            if (++pixels_in_tile == 65535) flush16();
+    for (; j + 32 <= width; j += 32) {
+        geq_panel_tile<NB, 1>(q, npix, panel + j, width, dim, out + j);
+    }
+    for (; j < width; ++j) {
+        for (int i = 0; i < NB; ++i) {
+            std::int32_t count = 0;
+            for (std::size_t p = 0; p < npix; ++p) {
+                count += q[i * npix + p] >= panel[p * width + j] ? 1 : 0;
+            }
+            out[i * dim + j] += count;
         }
-        if (pixels_in_tile != 0) flush16();
+    }
+}
+
+/// Panel-major image-blocked encode: panels outermost so one panel stays
+/// cache-resident while every block of four images streams over it.
+void geq_block_accumulate(const std::uint8_t* q, std::size_t npix, std::size_t n_images,
+                          const std::uint8_t* panels, std::size_t dim,
+                          std::int32_t* out, std::uint8_t /*max_value*/) {
+    for (std::size_t d0 = 0; d0 < dim; d0 += bank_panel_dims) {
+        const std::size_t width = dim - d0 < bank_panel_dims ? dim - d0 : bank_panel_dims;
+        const std::uint8_t* panel = panels + d0 * npix;
+        std::size_t i = 0;
+        for (; i + 4 <= n_images; i += 4) {
+            geq_panel<4>(q + i * npix, npix, panel, width, dim, out + i * dim + d0);
+        }
+        const std::uint8_t* q_rest = q + i * npix;
+        std::int32_t* out_rest = out + i * dim + d0;
+        switch (n_images - i) {
+        case 3: geq_panel<3>(q_rest, npix, panel, width, dim, out_rest); break;
+        case 2: geq_panel<2>(q_rest, npix, panel, width, dim, out_rest); break;
+        case 1: geq_panel<1>(q_rest, npix, panel, width, dim, out_rest); break;
+        default: break;
+        }
     }
 }
 
@@ -491,7 +491,7 @@ std::int64_t masked_sum_i32(const std::uint64_t* mask, const std::int32_t* v,
 
 constexpr kernel_table table{
     "avx2",            supported,
-    geq_accumulate,    geq_block_accumulate,
+    geq_block_accumulate,
     geq_rematerialize_accumulate,
     sign_binarize,     hamming_distance_words,
     hamming_argmin,    hamming_argmin2_prefix,

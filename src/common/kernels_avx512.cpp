@@ -53,14 +53,7 @@ bool use_vpopcnt() {
     return value;
 }
 
-// --- scalar tails (TU-local copies) ---------------------------------------
-
-void geq_tail(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-              std::uint16_t* geq16) {
-    for (std::size_t d = 0; d < dim; ++d) {
-        geq16[d] = static_cast<std::uint16_t>(geq16[d] + (q >= thresholds[d]));
-    }
-}
+// --- TU-local helpers ----------------------------------------------------
 
 /// argmin2 update (rows fed in ascending order keep the first-wins rule).
 void argmin2_update(argmin2_result& r, std::size_t row, std::uint64_t distance) {
@@ -73,93 +66,114 @@ void argmin2_update(argmin2_result& r, std::size_t row, std::uint64_t distance) 
     }
 }
 
-// --- threshold compare-accumulate -----------------------------------------
+// --- image-blocked panel kernel ------------------------------------------
 
-/// 64 thresholds per step, any byte values: one unsigned byte compare into
-/// a __mmask64, then two masked u16 subtracts of -1 (i.e. masked adds of 1)
-/// over the two 32-lane accumulator halves.
-void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-                    std::uint16_t* geq16, std::uint8_t /*max_value*/) {
-    const __m512i vq = _mm512_set1_epi8(static_cast<char>(q));
-    const __m512i minus_one16 = _mm512_set1_epi16(-1);
-    std::size_t d = 0;
-    for (; d + 64 <= dim; d += 64) {
-        const __m512i x = _mm512_loadu_si512(thresholds + d);
-        const __mmask64 geq = _mm512_cmpge_epu8_mask(vq, x);
-        __m512i lo = _mm512_loadu_si512(geq16 + d);
-        lo = _mm512_mask_sub_epi16(lo, static_cast<__mmask32>(geq), lo, minus_one16);
-        _mm512_storeu_si512(geq16 + d, lo);
-        __m512i hi = _mm512_loadu_si512(geq16 + d + 32);
-        hi = _mm512_mask_sub_epi16(hi, static_cast<__mmask32>(geq >> 32), hi,
-                                   minus_one16);
-        _mm512_storeu_si512(geq16 + d + 32, hi);
+/// Add the u8 counters of `counters` into dst[0..64), restricted to the
+/// lanes set in `valid` (zero-extended 16 at a time; masked loads and
+/// stores never touch accumulators past a ragged slice).
+void flush_counters(__m512i counters, __mmask64 valid, std::int32_t* dst) {
+    const __m128i parts[4] = {
+        _mm512_extracti32x4_epi32(counters, 0), _mm512_extracti32x4_epi32(counters, 1),
+        _mm512_extracti32x4_epi32(counters, 2), _mm512_extracti32x4_epi32(counters, 3)};
+    for (int k = 0; k < 4; ++k) {
+        const auto lanes = static_cast<__mmask16>(valid >> (16 * k));
+        std::int32_t* acc = dst + 16 * k;
+        const __m512i sum = _mm512_add_epi32(_mm512_maskz_loadu_epi32(lanes, acc),
+                                             _mm512_cvtepu8_epi32(parts[k]));
+        _mm512_mask_storeu_epi32(acc, lanes, sum);
     }
-    geq_tail(q, thresholds + d, dim - d, geq16 + d);
 }
 
-/// Block kernel: 256-dimension tiles held in four zmm registers of u8
-/// counters. Per pixel and 64 dimensions: one load, one compare-to-mask,
-/// one masked byte subtract — no accumulator memory traffic until the
-/// every-255-pixel flush. Dimension tails fall back to the u16 row kernel.
-void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                          const std::uint8_t* bank, std::size_t stride,
-                          std::size_t dim, std::int32_t* out,
-                          std::uint8_t max_value) {
-    constexpr std::size_t tile_dims = 256;
-    const __m512i minus_one8 = _mm512_set1_epi8(-1);
-    const auto flush64 = [](__m512i counters, std::int32_t* dst) {
-        alignas(64) std::uint8_t lanes[64];
-        _mm512_store_si512(lanes, counters);
-        for (int i = 0; i < 64; ++i) dst[i] += lanes[i];
-    };
-    std::size_t d = 0;
-    for (; d + tile_dims <= dim; d += tile_dims) {
-        __m512i c0 = _mm512_setzero_si512();
-        __m512i c1 = _mm512_setzero_si512();
-        __m512i c2 = _mm512_setzero_si512();
-        __m512i c3 = _mm512_setzero_si512();
-        std::size_t pixels_in_tile = 0;
-        const auto flush = [&] {
-            flush64(c0, out + d);
-            flush64(c1, out + d + 64);
-            flush64(c2, out + d + 128);
-            flush64(c3, out + d + 192);
-            c0 = c1 = c2 = c3 = _mm512_setzero_si512();
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            const __m512i vq = _mm512_set1_epi8(static_cast<char>(q[p]));
-            const std::uint8_t* row = bank + p * stride + d;
-            const auto step = [&](const std::uint8_t* src, __m512i counters) {
-                const __m512i x = _mm512_loadu_si512(src);
-                const __mmask64 geq = _mm512_cmpge_epu8_mask(vq, x);
-                return _mm512_mask_sub_epi8(counters, geq, counters, minus_one8);
-            };
-            c0 = step(row, c0);
-            c1 = step(row + 64, c1);
-            c2 = step(row + 128, c2);
-            c3 = step(row + 192, c3);
-            if (++pixels_in_tile == 255) flush();
+/// Register tile: NB images x NV 64-dimension vectors of one panel slice,
+/// u8 counters flushed every 255 pixels. Per pixel the NV threshold
+/// vectors are loaded once and compared against every image's intensity
+/// (one cmpge_epu8 to a mask, one masked byte subtract of -1). The
+/// intensities of the 255-pixel chunk are pre-splatted into dwords so the
+/// per-image broadcast is a plain load, keeping the shuffle port free for
+/// the compares. With Ragged, the last vector loads only the lanes set in
+/// `last` and flushes only those.
+template <int NB, int NV, bool Ragged>
+void geq_panel_tile(const std::uint8_t* q, std::size_t npix, const std::uint8_t* slice,
+                    std::size_t width, __mmask64 last, std::size_t dim,
+                    std::int32_t* out) {
+    const __m512i minus_one = _mm512_set1_epi8(-1);
+    alignas(64) std::uint32_t splats[255 * NB];
+    for (std::size_t p0 = 0; p0 < npix; p0 += 255) {
+        const std::size_t count = npix - p0 < 255 ? npix - p0 : 255;
+        for (std::size_t p = 0; p < count; ++p) {
+            for (int i = 0; i < NB; ++i) {
+                splats[p * NB + i] = 0x01010101u * q[i * npix + p0 + p];
+            }
         }
-        if (pixels_in_tile != 0) flush();
+        __m512i counters[NB][NV];
+        for (int i = 0; i < NB; ++i) {
+            for (int v = 0; v < NV; ++v) counters[i][v] = _mm512_setzero_si512();
+        }
+        const std::uint8_t* row = slice + p0 * width;
+        for (std::size_t p = 0; p < count; ++p, row += width) {
+            __m512i x[NV];
+            for (int v = 0; v < NV; ++v) {
+                x[v] = Ragged && v == NV - 1 ? _mm512_maskz_loadu_epi8(last, row + 64 * v)
+                                             : _mm512_loadu_si512(row + 64 * v);
+            }
+            for (int i = 0; i < NB; ++i) {
+                const __m512i vq = _mm512_set1_epi32(static_cast<int>(splats[p * NB + i]));
+                for (int v = 0; v < NV; ++v) {
+                    counters[i][v] = _mm512_mask_sub_epi8(
+                        counters[i][v], _mm512_cmpge_epu8_mask(vq, x[v]), counters[i][v],
+                        minus_one);
+                }
+            }
+        }
+        for (int i = 0; i < NB; ++i) {
+            for (int v = 0; v < NV; ++v) {
+                flush_counters(counters[i][v], Ragged && v == NV - 1 ? last : ~__mmask64{0},
+                               out + i * dim + 64 * v);
+            }
+        }
     }
-    if (d < dim) {
-        // Row-kernel fallback over the remaining dimensions with u16
-        // counters, flushed before a lane can overflow.
-        const std::size_t tail_dim = dim - d;
-        std::uint16_t tile16[tile_dims]; // tail_dim < 256
-        for (std::size_t i = 0; i < tail_dim; ++i) tile16[i] = 0;
-        std::size_t pixels_in_tile = 0;
-        const auto flush16 = [&] {
-            for (std::size_t i = 0; i < tail_dim; ++i) out[d + i] += tile16[i];
-            for (std::size_t i = 0; i < tail_dim; ++i) tile16[i] = 0;
-            pixels_in_tile = 0;
-        };
-        for (std::size_t p = 0; p < npix; ++p) {
-            geq_accumulate(q[p], bank + p * stride + d, tail_dim, tile16, max_value);
-            if (++pixels_in_tile == 65535) flush16();
+}
+
+/// One panel for NB images: a full panel is one 4-vector slice; a ragged
+/// last panel runs single vectors plus one masked vector for its < 64
+/// trailing dimensions.
+template <int NB>
+void geq_panel(const std::uint8_t* q, std::size_t npix, const std::uint8_t* panel,
+               std::size_t width, std::size_t dim, std::int32_t* out) {
+    std::size_t j = 0;
+    for (; j + 256 <= width; j += 256) {
+        geq_panel_tile<NB, 4, false>(q, npix, panel + j, width, 0, dim, out + j);
+    }
+    for (; j + 64 <= width; j += 64) {
+        geq_panel_tile<NB, 1, false>(q, npix, panel + j, width, 0, dim, out + j);
+    }
+    if (j < width) {
+        const __mmask64 last = (__mmask64{1} << (width - j)) - 1;
+        geq_panel_tile<NB, 1, true>(q, npix, panel + j, width, last, dim, out + j);
+    }
+}
+
+/// Panel-major image-blocked encode: panels outermost so one panel stays
+/// cache-resident while every block of four images streams over it.
+void geq_block_accumulate(const std::uint8_t* q, std::size_t npix, std::size_t n_images,
+                          const std::uint8_t* panels, std::size_t dim,
+                          std::int32_t* out, std::uint8_t /*max_value*/) {
+    static_assert(bank_panel_dims == 256, "full panels are one 4 x 64-lane slice");
+    for (std::size_t d0 = 0; d0 < dim; d0 += bank_panel_dims) {
+        const std::size_t width = dim - d0 < bank_panel_dims ? dim - d0 : bank_panel_dims;
+        const std::uint8_t* panel = panels + d0 * npix;
+        std::size_t i = 0;
+        for (; i + 4 <= n_images; i += 4) {
+            geq_panel<4>(q + i * npix, npix, panel, width, dim, out + i * dim + d0);
         }
-        if (pixels_in_tile != 0) flush16();
+        const std::uint8_t* q_rest = q + i * npix;
+        std::int32_t* out_rest = out + i * dim + d0;
+        switch (n_images - i) {
+        case 3: geq_panel<3>(q_rest, npix, panel, width, dim, out_rest); break;
+        case 2: geq_panel<2>(q_rest, npix, panel, width, dim, out_rest); break;
+        case 1: geq_panel<1>(q_rest, npix, panel, width, dim, out_rest); break;
+        default: break;
+        }
     }
 }
 
@@ -420,7 +434,7 @@ std::int64_t masked_sum_i32(const std::uint64_t* mask, const std::int32_t* v,
 
 constexpr kernel_table table{
     "avx512",          supported,
-    geq_accumulate,    geq_block_accumulate,
+    geq_block_accumulate,
     geq_rematerialize_accumulate,
     sign_binarize,     hamming_distance_words,
     hamming_argmin,    hamming_argmin2_prefix,

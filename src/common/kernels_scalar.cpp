@@ -5,7 +5,6 @@
 // admissible everywhere and deliberately slow: the pinned kernels refuse
 // auto-vectorization (UHD_SCALAR_REFERENCE) to stay an honest baseline.
 #include <cstdint>
-#include <vector>
 
 #include "kernels_detail.hpp"
 #include "uhd/common/simd.hpp"
@@ -16,28 +15,11 @@ namespace {
 
 bool supported(const cpu_features&) { return true; }
 
-void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-                    std::uint16_t* geq16, std::uint8_t /*max_value*/) {
-    simd::geq_accumulate_reference(q, thresholds, dim, geq16);
-}
-
 void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                          const std::uint8_t* bank, std::size_t stride,
+                          std::size_t n_images, const std::uint8_t* panels,
                           std::size_t dim, std::int32_t* out,
                           std::uint8_t /*max_value*/) {
-    // Per-pixel rows through the pinned u16 oracle, flushed before a u16
-    // lane can overflow — the same tiling contract as the wide backends.
-    std::vector<std::uint16_t> tile(dim, 0);
-    std::size_t pixels_in_tile = 0;
-    for (std::size_t p = 0; p < npix; ++p) {
-        simd::geq_accumulate_reference(q[p], bank + p * stride, dim, tile.data());
-        if (++pixels_in_tile == 65535) {
-            simd::add_u16_to_i32(tile.data(), dim, out);
-            std::fill(tile.begin(), tile.end(), std::uint16_t{0});
-            pixels_in_tile = 0;
-        }
-    }
-    if (pixels_in_tile != 0) simd::add_u16_to_i32(tile.data(), dim, out);
+    simd::geq_block_accumulate_reference(q, npix, n_images, panels, dim, out);
 }
 
 void geq_rematerialize_accumulate(const std::uint32_t* directions,
@@ -117,7 +99,7 @@ std::int64_t masked_sum_i32(const std::uint64_t* mask, const std::int32_t* v,
 
 constexpr kernel_table table{
     "scalar",          supported,
-    geq_accumulate,    geq_block_accumulate,
+    geq_block_accumulate,
     geq_rematerialize_accumulate,
     sign_binarize,     hamming_distance_words,
     hamming_argmin,    hamming_argmin2_prefix,

@@ -1,8 +1,8 @@
 // The SWAR backend: 64-bit word-parallel kernels with no ISA requirement
 // beyond a 64-bit integer unit — the fast default for generic builds and
-// non-x86 targets. The geq kernels have a value precondition (all operands
+// non-x86 targets. The geq kernel has a value precondition (all operands
 // <= 127); when a caller's max_value exceeds it, the table entry falls back
-// to the portable scalar body for that call rather than miscomputing.
+// to the pinned reference body for that call rather than miscomputing.
 #include <cstdint>
 
 #include "kernels_detail.hpp"
@@ -14,22 +14,13 @@ namespace {
 
 bool supported(const cpu_features&) { return true; }
 
-void geq_accumulate(std::uint8_t q, const std::uint8_t* thresholds, std::size_t dim,
-                    std::uint16_t* geq16, std::uint8_t max_value) {
-    if (max_value <= simd::swar_max_value) {
-        simd::geq_accumulate_swar(q, thresholds, dim, geq16);
-    } else {
-        simd::geq_accumulate_scalar(q, thresholds, dim, geq16);
-    }
-}
-
 void geq_block_accumulate(const std::uint8_t* q, std::size_t npix,
-                          const std::uint8_t* bank, std::size_t stride,
+                          std::size_t n_images, const std::uint8_t* panels,
                           std::size_t dim, std::int32_t* out, std::uint8_t max_value) {
     if (max_value <= simd::swar_max_value) {
-        simd::geq_block_accumulate_swar(q, npix, bank, stride, dim, out);
+        simd::geq_block_accumulate_swar(q, npix, n_images, panels, dim, out);
     } else {
-        simd::geq_block_accumulate_scalar(q, npix, bank, stride, dim, out);
+        simd::geq_block_accumulate_reference(q, npix, n_images, panels, dim, out);
     }
 }
 
@@ -111,7 +102,7 @@ std::int64_t masked_sum_i32(const std::uint64_t* mask, const std::int32_t* v,
 
 constexpr kernel_table table{
     "swar",            supported,
-    geq_accumulate,    geq_block_accumulate,
+    geq_block_accumulate,
     geq_rematerialize_accumulate,
     sign_binarize,     hamming_distance_words,
     hamming_argmin,    hamming_argmin2_prefix,

@@ -20,27 +20,29 @@ uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape)
     UHD_REQUIRE(shape.channels == 1, "uHD encoder expects grayscale images");
 
     if (config_.bank == bank_mode::stored) {
-        bank_.emplace(directions_, shape_.pixels(), config_.dim, config_.quant_levels,
-                      config_.scramble ? config_.sobol_seed : 0);
-    } else {
-        // O(pixels) generator state instead of the O(pixels * D) bank:
-        // bit_width(dim) direction words cover every Gray-code advance the
-        // kernels perform for point indices <= dim (including the final
-        // countr_zero(dim) state step), one digital-shift word per pixel,
-        // and one shared bound per quantization level.
-        dir_words_ = std::bit_width(config_.dim);
-        UHD_REQUIRE(dir_words_ <= static_cast<std::size_t>(ld::sobol_bits),
-                    "dimension exceeds the 32-bit Sobol generator range");
-        remat_dirs_.resize(shape_.pixels() * dir_words_);
-        shifts_.resize(shape_.pixels());
-        for (std::size_t p = 0; p < shape_.pixels(); ++p) {
-            const auto dirs = directions_.direction_numbers(p);
-            std::copy_n(dirs.data(), dir_words_, remat_dirs_.data() + p * dir_words_);
-            shifts_[p] = pixel_shift(p);
-        }
-        bound_table_ = ld::quantize_bounds(config_.quant_levels);
+        const ld::quantized_sobol_bank bank(directions_, shape_.pixels(), config_.dim,
+                                            config_.quant_levels,
+                                            config_.scramble ? config_.sobol_seed : 0);
+        build_tables(&bank);
+        return;
     }
-    build_tables();
+    // O(pixels) generator state instead of the O(pixels * D) bank:
+    // bit_width(dim) direction words cover every Gray-code advance the
+    // kernels perform for point indices <= dim (including the final
+    // countr_zero(dim) state step), one digital-shift word per pixel,
+    // and one shared bound per quantization level.
+    dir_words_ = std::bit_width(config_.dim);
+    UHD_REQUIRE(dir_words_ <= static_cast<std::size_t>(ld::sobol_bits),
+                "dimension exceeds the 32-bit Sobol generator range");
+    remat_dirs_.resize(shape_.pixels() * dir_words_);
+    shifts_.resize(shape_.pixels());
+    for (std::size_t p = 0; p < shape_.pixels(); ++p) {
+        const auto dirs = directions_.direction_numbers(p);
+        std::copy_n(dirs.data(), dir_words_, remat_dirs_.data() + p * dir_words_);
+        shifts_[p] = pixel_shift(p);
+    }
+    bound_table_ = ld::quantize_bounds(config_.quant_levels);
+    build_tables(nullptr);
 }
 
 uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape,
@@ -48,16 +50,15 @@ uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape,
     : config_(config),
       shape_(shape),
       directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)),
-      bank_(std::move(custom_bank)),
       ust_(config.quant_levels, config.stream_length()) {
     UHD_REQUIRE(config.bank == bank_mode::stored,
                 "a custom threshold bank has no generator to rematerialize from");
     UHD_REQUIRE(config.dim >= 64, "dimension too small to be hyperdimensional");
     UHD_REQUIRE(shape.channels == 1, "uHD encoder expects grayscale images");
-    UHD_REQUIRE(bank_->dims() == shape.pixels() && bank_->samples() == config.dim &&
-                    bank_->levels() == config.quant_levels,
+    UHD_REQUIRE(custom_bank.dims() == shape.pixels() && custom_bank.samples() == config.dim &&
+                    custom_bank.levels() == config.quant_levels,
                 "threshold bank geometry does not match the configuration");
-    build_tables();
+    build_tables(&custom_bank);
 }
 
 std::uint32_t uhd_encoder::pixel_shift(std::size_t p) const noexcept {
@@ -78,7 +79,7 @@ void uhd_encoder::materialize_row(std::size_t p, std::uint8_t* row) const {
     }
 }
 
-void uhd_encoder::build_tables() {
+void uhd_encoder::build_tables(const ld::quantized_sobol_bank* bank) {
     for (unsigned x = 0; x < 256; ++x) {
         quant_lut_[x] = ld::quantize_unit(static_cast<double>(x) / 255.0,
                                           config_.quant_levels);
@@ -87,19 +88,32 @@ void uhd_encoder::build_tables() {
     // Per-pixel threshold CDF: how many of the pixel's D thresholds a given
     // quantized intensity reaches. Used for exact mean-centering. In
     // rematerialize mode the rows are streamed through once here and then
-    // discarded — the CDF sidecar stays, the bank does not.
+    // discarded — the CDF sidecar stays, the bank does not. In stored mode
+    // each row is also scattered into its panels (row-major in, panel-major
+    // out), and the caller's row-major bank is dropped afterwards.
+    const std::size_t pixels = shape_.pixels();
+    const std::size_t dim = config_.dim;
     const unsigned xi = config_.quant_levels;
-    cdf_counts_.assign(shape_.pixels() * xi, 0);
+    cdf_counts_.assign(pixels * xi, 0);
     std::vector<std::uint8_t> scratch;
-    if (!bank_) scratch.resize(config_.dim);
-    for (std::size_t p = 0; p < shape_.pixels(); ++p) {
+    if (bank != nullptr) {
+        panels_.resize(pixels * dim);
+    } else {
+        scratch.resize(dim);
+    }
+    for (std::size_t p = 0; p < pixels; ++p) {
         std::uint32_t* cdf = cdf_counts_.data() + p * xi;
         std::span<const std::uint8_t> row;
-        if (bank_) {
-            row = bank_->row(p);
+        if (bank != nullptr) {
+            row = bank->row(p);
+            for (std::size_t d0 = 0; d0 < dim; d0 += kernels::bank_panel_dims) {
+                const std::size_t width = std::min(kernels::bank_panel_dims, dim - d0);
+                std::copy_n(row.data() + d0, width,
+                            panels_.data() + kernels::bank_panel_offset(pixels, dim, p, d0));
+            }
         } else {
             materialize_row(p, scratch.data());
-            row = {scratch.data(), config_.dim};
+            row = {scratch.data(), dim};
         }
         for (const std::uint8_t s : row) ++cdf[s];
         for (unsigned q = 1; q < xi; ++q) cdf[q] += cdf[q - 1];
@@ -107,14 +121,41 @@ void uhd_encoder::build_tables() {
 }
 
 std::span<const std::uint8_t> uhd_encoder::sobol_row(std::size_t p) const {
-    if (bank_) return bank_->row(p);
     UHD_REQUIRE(p < shape_.pixels(), "bank dimension out of range");
-    // Reused per thread: gate-exact unary encode and the datapath simulator
-    // fetch rows one pixel at a time.
+    // Reused per thread: gate-exact unary encode and encode_scalar fetch
+    // rows one pixel at a time.
     static thread_local std::vector<std::uint8_t> row;
-    row.resize(config_.dim);
-    materialize_row(p, row.data());
+    const std::size_t pixels = shape_.pixels();
+    const std::size_t dim = config_.dim;
+    row.resize(dim);
+    if (panels_.empty()) {
+        materialize_row(p, row.data());
+    } else {
+        for (std::size_t d0 = 0; d0 < dim; d0 += kernels::bank_panel_dims) {
+            const std::size_t width = std::min(kernels::bank_panel_dims, dim - d0);
+            std::copy_n(panels_.data() + kernels::bank_panel_offset(pixels, dim, p, d0),
+                        width, row.data() + d0);
+        }
+    }
     return {row.data(), row.size()};
+}
+
+std::uint8_t uhd_encoder::threshold(std::size_t p, std::size_t d) const {
+    UHD_REQUIRE(p < shape_.pixels() && d < config_.dim, "threshold index out of range");
+    if (!panels_.empty()) {
+        return panels_[kernels::bank_panel_offset(shape_.pixels(), config_.dim, p, d)];
+    }
+    // Point d of the Gray-code Sobol stream is the XOR of the direction
+    // numbers over the set bits of gray(d) (point 0 is 0), scrambled by the
+    // pixel's digital shift — the seek the rematerializing kernels start
+    // each tile with.
+    const auto v = directions_.direction_numbers(p);
+    std::uint32_t fraction = pixel_shift(p);
+    for (std::uint64_t g = d ^ (d >> 1); g != 0; g &= g - 1) {
+        fraction ^= v[static_cast<std::size_t>(std::countr_zero(g))];
+    }
+    return ld::quantize_unit(ld::sobol_sequence::fraction_to_unit(fraction),
+                             config_.quant_levels);
 }
 
 std::int32_t uhd_encoder::doubled_threshold(std::span<const std::uint8_t> image) const {
@@ -138,49 +179,62 @@ void uhd_encoder::encode(std::span<const std::uint8_t> image,
                          std::span<std::int32_t> out) const {
     UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
     UHD_REQUIRE(out.size() == config_.dim, "output accumulator size mismatch");
+    encode_images(image.data(), 1, out.data());
+}
 
-    // Word-parallel geq counts: quantize the image once, then run the
-    // whole pixel x dimension compare loop through the dispatched block
-    // kernel (the active uhd::kernels backend — scalar/SWAR/AVX2, selected
-    // at runtime from the CPU probe or the UHD_BACKEND override).
-    const std::uint8_t max_value = static_cast<std::uint8_t>(
-        std::min<unsigned>(config_.quant_levels - 1, 255));
-    // Reused per thread: the batch engine calls encode() once per image
-    // from every pool worker, so per-call allocation would dominate.
-    static thread_local std::vector<std::uint8_t> quantized;
-    quantized.resize(image.size());
-    for (std::size_t p = 0; p < image.size(); ++p) {
-        quantized[p] = quantize_intensity(image[p]);
-    }
-    std::fill(out.begin(), out.end(), 0);
+void uhd_encoder::encode_images(const std::uint8_t* images, std::size_t count,
+                                std::int32_t* out) const {
+    const std::size_t pixels = shape_.pixels();
+    const std::size_t dim = config_.dim;
+    std::fill_n(out, count * dim, 0);
     if (config_.bank == bank_mode::rematerialize) {
-        // Fused rematerializing path: translate each pixel's quantized
-        // intensity into a raw-fraction bound (state <= bound is exactly
-        // q >= quantized threshold; see ld::quantize_bounds), then let the
-        // kernel regenerate the Sobol stream in registers. D-tiles keep the
-        // int32 accumulator slice L1-resident; integer accumulation makes
-        // every tile split bit-identical.
+        // Fused rematerializing path, one image at a time: translate each
+        // pixel's quantized intensity into a raw-fraction bound (state <=
+        // bound is exactly q >= quantized threshold; see
+        // ld::quantize_bounds), then let the kernel regenerate the Sobol
+        // stream in registers. D-tiles keep the int32 accumulator slice
+        // L1-resident; integer accumulation makes every tile split
+        // bit-identical.
         static thread_local std::vector<std::uint32_t> pixel_bounds;
-        pixel_bounds.resize(image.size());
-        for (std::size_t p = 0; p < image.size(); ++p) {
-            pixel_bounds[p] = bound_table_[quantized[p]];
-        }
+        pixel_bounds.resize(pixels);
         constexpr std::size_t tile = 4096;
-        for (std::size_t d0 = 0; d0 < config_.dim; d0 += tile) {
-            const std::size_t count = std::min(tile, config_.dim - d0);
-            kernels::geq_rematerialize_accumulate(remat_dirs_.data(), dir_words_,
-                                                  shifts_.data(), pixel_bounds.data(),
-                                                  image.size(), d0, count,
-                                                  out.data() + d0);
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::uint8_t* image = images + i * pixels;
+            for (std::size_t p = 0; p < pixels; ++p) {
+                pixel_bounds[p] = bound_table_[quantize_intensity(image[p])];
+            }
+            for (std::size_t d0 = 0; d0 < dim; d0 += tile) {
+                const std::size_t n = std::min(tile, dim - d0);
+                kernels::geq_rematerialize_accumulate(remat_dirs_.data(), dir_words_,
+                                                      shifts_.data(), pixel_bounds.data(),
+                                                      pixels, d0, n, out + i * dim + d0);
+            }
         }
     } else {
-        kernels::geq_block_accumulate(quantized.data(), quantized.size(),
-                                      bank_->data().data(), bank_->samples(),
-                                      config_.dim, out.data(), max_value);
+        // Image-blocked geq counts: quantize a block of images, then run the
+        // whole image x pixel x dimension compare through the dispatched
+        // panel kernel (the active uhd::kernels backend, selected at
+        // runtime from the CPU probe or the UHD_BACKEND override). The
+        // quantized block is reused per thread: every pool worker and serve
+        // worker encodes here, so per-call allocation would dominate.
+        static thread_local std::vector<std::uint8_t> quantized;
+        const auto max_value = static_cast<std::uint8_t>(
+            std::min<unsigned>(config_.quant_levels - 1, 255));
+        for (std::size_t b = 0; b < count; b += encode_block_images) {
+            const std::size_t n = std::min(encode_block_images, count - b);
+            quantized.resize(n * pixels);
+            const std::uint8_t* block = images + b * pixels;
+            for (std::size_t k = 0; k < n * pixels; ++k) {
+                quantized[k] = quantize_intensity(block[k]);
+            }
+            kernels::geq_block_accumulate(quantized.data(), pixels, n, panels_.data(),
+                                          dim, out + b * dim, max_value);
+        }
     }
-    const std::int32_t tau2 = doubled_threshold(image);
-    for (std::size_t d = 0; d < config_.dim; ++d) {
-        out[d] = 2 * out[d] - tau2;
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::int32_t tau2 = doubled_threshold({images + i * pixels, pixels});
+        std::int32_t* acc = out + i * dim;
+        for (std::size_t d = 0; d < dim; ++d) acc[d] = 2 * acc[d] - tau2;
     }
 }
 
@@ -221,25 +275,15 @@ void uhd_encoder::encode_batch(std::span<const std::uint8_t> images, std::size_t
     UHD_REQUIRE(images.size() == count * pixels, "batch image buffer size mismatch");
     UHD_REQUIRE(out.size() == count * config_.dim, "batch output size mismatch");
     thread_pool::maybe_parallel_for(pool, count, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            encode(images.subspan(i * pixels, pixels),
-                   out.subspan(i * config_.dim, config_.dim));
-        }
+        encode_images(images.data() + begin * pixels, end - begin,
+                      out.data() + begin * config_.dim);
     });
 }
 
 void uhd_encoder::encode_batch(const data::dataset& set, std::span<std::int32_t> out,
                                thread_pool* pool) const {
     UHD_REQUIRE(set.shape() == shape_, "dataset shape mismatch");
-    UHD_REQUIRE(out.size() == set.size() * config_.dim, "batch output size mismatch");
-    thread_pool::maybe_parallel_for(pool, set.size(),
-                                    [&](std::size_t begin, std::size_t end) {
-                                        for (std::size_t i = begin; i < end; ++i) {
-                                            encode(set.image(i),
-                                                   out.subspan(i * config_.dim,
-                                                               config_.dim));
-                                        }
-                                    });
+    encode_batch(set.images(0, set.size()), set.size(), out, pool);
 }
 
 void uhd_encoder::encode_unary(std::span<const std::uint8_t> image,
@@ -311,7 +355,7 @@ hdc::hypervector uhd_encoder::encode_sign(std::span<const std::uint8_t> image) c
 }
 
 std::size_t uhd_encoder::threshold_bytes() const noexcept {
-    if (bank_) return bank_->memory_bytes();
+    if (config_.bank == bank_mode::stored) return panels_.size() * sizeof(std::uint8_t);
     return remat_dirs_.size() * sizeof(std::uint32_t) +
            shifts_.size() * sizeof(std::uint32_t) +
            bound_table_.size() * sizeof(std::uint32_t);

@@ -16,7 +16,9 @@
 // Four equivalent encode paths are provided:
 //  * encode()        — word-parallel quantized comparison (production path;
 //                      runtime-dispatched uhd::kernels backend — scalar,
-//                      SWAR, or AVX2, selected by the CPU probe)
+//                      SWAR, AVX2, or AVX-512, selected by the CPU probe);
+//                      encode_batch() runs the same kernel over blocks of
+//                      images, loading each threshold once per block
 //  * encode_scalar() — the byte-at-a-time formulation, retained as the
 //                      correctness oracle and the benchmark baseline
 //  * encode_unary()  — the unary datapath. Its monotone_fast fidelity uses
@@ -33,11 +35,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "uhd/bitstream/stream_table.hpp"
+#include "uhd/common/aligned.hpp"
 #include "uhd/common/thread_pool.hpp"
 #include "uhd/core/config.hpp"
 #include "uhd/data/dataset.hpp"
@@ -58,7 +60,9 @@ class uhd_encoder {
 public:
     /// Build the threshold state for images of `shape` and the unary stream
     /// table. With bank_mode::stored this materializes the quantized Sobol
-    /// bank (the BRAM of Fig. 3(a)); with bank_mode::rematerialize it keeps
+    /// bank (the BRAM of Fig. 3(a)), repacked once into the 64-byte aligned
+    /// dimension-panel layout the encode kernel streams (see
+    /// kernels::bank_panel_offset); with bank_mode::rematerialize it keeps
     /// only O(1) generator state per pixel (compact direction numbers, the
     /// per-pixel digital shift, and the per-level fraction bounds) and the
     /// encode kernels regenerate threshold rows on the fly. Both modes are
@@ -68,7 +72,8 @@ public:
     /// Build with an externally supplied threshold bank (pixels x dim rows,
     /// values < config.quant_levels). This is the hook for the sequence-
     /// family ablation: identical datapath, different threshold source.
-    /// The bank replaces the Sobol one; encode_exact() remains Sobol-based.
+    /// The bank replaces the Sobol one (repacked into the same panel layout;
+    /// the row-major copy is not kept); encode_exact() remains Sobol-based.
     /// Requires bank_mode::stored — an arbitrary bank has no generator to
     /// rematerialize from.
     uhd_encoder(const uhd_config& config, data::image_shape shape,
@@ -92,7 +97,8 @@ public:
         return quant_lut_[intensity];
     }
 
-    /// Fast path (word-parallel kernels). With the default mean_intensity
+    /// Fast path (the dispatched kernels::geq_block_accumulate, called with
+    /// n_images = 1). With the default mean_intensity
     /// policy, out[d] = 2 * ones[d] - 2 * TOB(image) where ones[d] counts
     /// pixels with q(x_p) >= q(S_p[d]) and TOB is the image's expected
     /// popcount; with half_inputs, out[d] = 2 * ones[d] - H (the bipolar
@@ -107,10 +113,19 @@ public:
 
     /// Encode `count` images stored back-to-back in `images` (each
     /// shape().pixels() bytes) into `out` (count * dim() accumulators,
-    /// image-major). When `pool` is non-null the batch is split across its
-    /// workers; results are bit-identical for every thread count.
+    /// image-major). Each worker's contiguous share is quantized and pushed
+    /// through the image-blocked kernel in calls of up to
+    /// encode_block_images images, so every threshold panel is loaded once
+    /// per block instead of once per image. When `pool` is non-null the
+    /// batch is split across its workers; results are bit-identical to
+    /// encode() per image for every thread count.
     void encode_batch(std::span<const std::uint8_t> images, std::size_t count,
                       std::span<std::int32_t> out, thread_pool* pool = nullptr) const;
+
+    /// Images per kernel call in encode_batch(): bounds the per-thread
+    /// quantized scratch (64 x pixels bytes) and keeps one threshold panel
+    /// plus the block's intensities cache-resident.
+    static constexpr std::size_t encode_block_images = 64;
 
     /// Batch-encode a whole dataset (shape must match this encoder).
     void encode_batch(const data::dataset& set, std::span<std::int32_t> out,
@@ -139,11 +154,24 @@ public:
     /// Encode and binarize (the image hypervector of Fig. 5).
     [[nodiscard]] hdc::hypervector encode_sign(std::span<const std::uint8_t> image) const;
 
-    /// The quantized Sobol thresholds of pixel `p` (BRAM row). In stored
-    /// mode this is a view into the resident bank; in rematerialize mode
-    /// the row is regenerated into a per-thread buffer, so the span is
-    /// valid until the calling thread's next sobol_row() call.
+    /// The quantized Sobol thresholds of pixel `p` (BRAM row), copied into
+    /// a per-thread buffer: gathered from the panel bank in stored mode,
+    /// regenerated in rematerialize mode. The span is valid until the
+    /// calling thread's next sobol_row() call (on any encoder).
     [[nodiscard]] std::span<const std::uint8_t> sobol_row(std::size_t p) const;
+
+    /// Quantized threshold of pixel `p` at dimension `d` — sobol_row(p)[d]
+    /// without materializing the row: one panel-bank load in stored mode,
+    /// a closed-form Gray-code seek (at most bit_width(d) XORs) in
+    /// rematerialize mode.
+    [[nodiscard]] std::uint8_t threshold(std::size_t p, std::size_t d) const;
+
+    /// The stored threshold bank in its panel-major layout
+    /// (kernels::bank_panel_offset; pixels() * dim() bytes, data() 64-byte
+    /// aligned). Empty in rematerialize mode.
+    [[nodiscard]] std::span<const std::uint8_t> panel_bank() const noexcept {
+        return {panels_.data(), panels_.size()};
+    }
 
     /// The unary stream table (Fig. 3(c)).
     [[nodiscard]] const bs::unary_stream_table& stream_table() const noexcept {
@@ -171,9 +199,11 @@ private:
     uhd_config config_;
     data::image_shape shape_;
     ld::sobol_directions directions_;
-    // Threshold state, stored mode: the dense quantized bank (absent in
-    // rematerialize mode — that is the whole point).
-    std::optional<ld::quantized_sobol_bank> bank_;
+    // Threshold state, stored mode: the dense quantized bank, panel-major
+    // (kernels::bank_panel_offset) and cache-line aligned, exactly
+    // pixels x dim bytes. Empty in rematerialize mode — that is the whole
+    // point.
+    cache_aligned_vector<std::uint8_t> panels_;
     bs::unary_stream_table ust_;
     // Threshold state, rematerialize mode: per-pixel generator state fed to
     // kernels::geq_rematerialize_accumulate. remat_dirs_ holds the first
@@ -199,8 +229,12 @@ private:
     [[nodiscard]] std::uint32_t pixel_shift(std::size_t p) const noexcept;
     // Regenerate pixel p's quantized threshold row (dim values) into `row`.
     void materialize_row(std::size_t p, std::uint8_t* row) const;
-    // Shared ctor tail: quantization LUT + per-pixel CDF sidecar.
-    void build_tables();
+    // Shared ctor tail: quantization LUT + per-pixel CDF sidecar, and in
+    // stored mode the panel repack of `bank` (row-major, then dropped).
+    void build_tables(const ld::quantized_sobol_bank* bank);
+    // encode() / encode_batch() body for `count` back-to-back images.
+    void encode_images(const std::uint8_t* images, std::size_t count,
+                       std::int32_t* out) const;
 };
 
 } // namespace uhd::core

@@ -190,11 +190,11 @@ public:
     }
 
     /// Calibrate an early-exit policy for this model's class memory on a
-    /// held-out dataset: each image is encoded and sign-binarized
-    /// (pool-parallel when given — every query fills its own slot, so the
-    /// packed calibration buffer is bit-identical for any thread count),
-    /// then the per-stage margin thresholds are picked for
-    /// `target_agreement` with the full-D answer
+    /// held-out dataset: each image is encoded (through the encoder's batch
+    /// path when it has one) and sign-binarized (pool-parallel when given —
+    /// every query fills its own slot, so the packed calibration buffer is
+    /// bit-identical for any thread count), then the per-stage margin
+    /// thresholds are picked for `target_agreement` with the full-D answer
     /// (dynamic_query_policy::calibrate).
     [[nodiscard]] dynamic_query_policy calibrate_dynamic(
         const data::dataset& holdout, double target_agreement,
@@ -204,11 +204,15 @@ public:
         std::vector<std::uint64_t> packed(holdout.size() * words);
         thread_pool::maybe_parallel_for(
             pool, holdout.size(), [&](std::size_t begin, std::size_t end) {
-                std::vector<std::int32_t> scratch(dim);
-                for (std::size_t i = begin; i < end; ++i) {
-                    encoder_->encode(holdout.image(i), scratch);
-                    kernels::sign_binarize(scratch.data(), dim,
-                                        packed.data() + i * words);
+                std::vector<std::int32_t> encoded(
+                    std::min(predict_block_images, end - begin) * dim);
+                for (std::size_t b = begin; b < end; b += predict_block_images) {
+                    const std::size_t count = std::min(predict_block_images, end - b);
+                    encode_block(holdout, b, count, encoded);
+                    for (std::size_t i = 0; i < count; ++i) {
+                        kernels::sign_binarize(encoded.data() + i * dim, dim,
+                                               packed.data() + (b + i) * words);
+                    }
                 }
             });
         return dynamic_query_policy::calibrate(state_, packed, holdout.size(),
@@ -222,7 +226,8 @@ public:
 
     /// Predict every image of a dataset into `out` (one label slot per
     /// image). Each worker encodes contiguous blocks of
-    /// predict_block_images images and answers every block with one
+    /// predict_block_images images (one encode_batch call per block when
+    /// the encoder has a batch path) and answers every block with one
     /// register-blocked kernel call (inference_snapshot::predict_block), so
     /// each packed class row is streamed once per query tile instead of
     /// once per image. With a pool, the batch is split into contiguous
@@ -241,11 +246,7 @@ public:
                 for (std::size_t b = begin; b < end; b += predict_block_images) {
                     const std::size_t count =
                         std::min(predict_block_images, end - b);
-                    for (std::size_t i = 0; i < count; ++i) {
-                        encoder_->encode(set.image(b + i),
-                                         std::span<std::int32_t>(
-                                             encoded.data() + i * dim, dim));
-                    }
+                    encode_block(set, b, count, encoded);
                     state_.predict_block({encoded.data(), count * dim}, count,
                                          out.subspan(b, count));
                 }
@@ -409,6 +410,22 @@ public:
     }
 
 private:
+    /// Encode images [begin, begin + count) of `set` into the first
+    /// count * dim() values of `out`: one encode_batch call when the encoder
+    /// has a batch path (the image-blocked kernel), per image otherwise.
+    void encode_block(const data::dataset& set, std::size_t begin, std::size_t count,
+                      std::span<std::int32_t> out) const {
+        const std::size_t dim = encoder_->dim();
+        if constexpr (batch_encoder<Encoder>) {
+            encoder_->encode_batch(set.images(begin, count), count,
+                                   out.first(count * dim), nullptr);
+        } else {
+            for (std::size_t i = 0; i < count; ++i) {
+                encoder_->encode(set.image(begin + i), out.subspan(i * dim, dim));
+            }
+        }
+    }
+
     void bundle_into(std::size_t label, std::span<const std::int32_t> encoded) {
         if (mode_ == train_mode::raw_sums) {
             class_acc_[label].add_values(encoded);

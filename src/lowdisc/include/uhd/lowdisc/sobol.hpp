@@ -148,12 +148,6 @@ public:
     /// Quantized thresholds of dimension `d` (length samples()).
     [[nodiscard]] std::span<const std::uint8_t> row(std::size_t d) const;
 
-    /// Whole bank, row-major dims() x samples() — the contiguous layout the
-    /// word-parallel block kernels stream through (row stride = samples()).
-    [[nodiscard]] std::span<const std::uint8_t> data() const noexcept {
-        return {data_.data(), data_.size()};
-    }
-
     /// Heap footprint (Table I memory accounting; exact — size(), not
     /// capacity(), so the number gates cleanly in the benches).
     [[nodiscard]] std::size_t memory_bytes() const noexcept {

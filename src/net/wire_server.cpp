@@ -7,6 +7,7 @@
 #include <span>
 #include <utility>
 
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -118,6 +119,8 @@ void wire_server::start() {
             if (!r->epoll.valid()) throw uhd::error("epoll_create1() failed");
             r->wake.reset(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
             if (!r->wake.valid()) throw uhd::error("eventfd() failed");
+            r->reserve.reset(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+            if (!r->reserve.valid()) throw uhd::error("open(/dev/null) failed");
 
             epoll_event ev{};
             ev.events = EPOLLIN | EPOLLET;
@@ -233,8 +236,12 @@ void wire_server::accept_ready(reactor& r) {
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
             if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-            if (errno == EINTR) continue;
-            return; // transient accept failure; listener stays armed
+            if (errno == EINTR || errno == ECONNABORTED) continue;
+            if ((errno == EMFILE || errno == ENFILE) && shed_pending(r)) continue;
+            // Out of memory or buffers (or of fds with the reserve gone):
+            // the edge-triggered listener is re-signalled only by the next
+            // arrival, so connections still queued wait for it.
+            return;
         }
         auto conn = std::make_unique<connection>();
         conn->sock.reset(fd);
@@ -253,6 +260,21 @@ void wire_server::accept_ready(reactor& r) {
         r.counters.record_accept();
         r.conns.emplace(conn->id, std::move(conn));
     }
+}
+
+bool wire_server::shed_pending(reactor& r) {
+    // Fd exhaustion. The listener is edge-triggered: returning with
+    // connections still queued would leave them unanswered until another
+    // client arrives. Give up the reserve fd, accept the oldest pending
+    // connection and close it at once (its peer sees EOF instead of a
+    // hang), then take the reserve back. False when no reserve was held or
+    // nothing could be accepted.
+    if (!r.reserve.valid()) return false;
+    r.reserve.reset();
+    const int fd = ::accept4(r.listener.get(), nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd >= 0) ::close(fd);
+    r.reserve.reset(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+    return fd >= 0;
 }
 
 void wire_server::drain_completions(reactor& r) {

@@ -172,11 +172,17 @@ TEST(RematEncoder, BitIdenticalToStoredOnEveryPath) {
             const core::uhd_encoder remat(remat_config(cfg), shape);
 
             for (std::size_t p = 0; p < shape.pixels(); ++p) {
+                // Both modes return rows in the same per-thread buffer, so
+                // copy the stored row before fetching the rematerialized one.
                 const auto srow = stored.sobol_row(p);
+                const std::vector<std::uint8_t> stored_row(srow.begin(), srow.end());
                 const auto rrow = remat.sobol_row(p);
-                ASSERT_EQ(std::vector<std::uint8_t>(srow.begin(), srow.end()),
-                          std::vector<std::uint8_t>(rrow.begin(), rrow.end()))
+                ASSERT_EQ(stored_row, std::vector<std::uint8_t>(rrow.begin(), rrow.end()))
                     << "pixel " << p;
+                for (std::size_t d = 0; d < cfg.dim; ++d) {
+                    ASSERT_EQ(stored.threshold(p, d), stored_row[d]) << p << "," << d;
+                    ASSERT_EQ(remat.threshold(p, d), stored_row[d]) << p << "," << d;
+                }
             }
 
             for (int trial = 0; trial < 8; ++trial) {

@@ -57,6 +57,26 @@ TEST(UhdDatapath, EventCountsAreExact) {
     EXPECT_LE(events.sign_latches, 64u);
 }
 
+TEST(UhdDatapath, RematerializedThresholdsGiveTheSameRunAndEvents) {
+    // threshold(p, d) seeks the Sobol stream in rematerialize mode and
+    // reads the panel bank in stored mode: same answer, same event tally.
+    core::uhd_config cfg;
+    cfg.dim = 300; // ragged against the 256-wide panels
+    core::uhd_config remat_cfg = cfg;
+    remat_cfg.bank = bank_mode::rematerialize;
+    const core::uhd_encoder stored(cfg, {28, 28, 1});
+    const core::uhd_encoder remat(remat_cfg, {28, 28, 1});
+    const auto image = test_image();
+    sim::event_counts stored_events;
+    sim::event_counts remat_events;
+    const auto a = sim::uhd_datapath_sim(stored).run(image, &stored_events);
+    const auto b = sim::uhd_datapath_sim(remat).run(image, &remat_events);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a, stored.encode_sign(image));
+    EXPECT_EQ(stored_events.to_string(), remat_events.to_string());
+    EXPECT_EQ(stored_events.cycles, 784ull * 300ull);
+}
+
 TEST(UhdDatapath, EventsAccumulateAcrossRuns) {
     core::uhd_config cfg;
     cfg.dim = 64;

@@ -27,6 +27,7 @@
 #include "uhd/core/encoder.hpp"
 #include "uhd/data/synthetic.hpp"
 #include "uhd/hdc/classifier.hpp"
+#include "uhd/lowdisc/sobol.hpp"
 
 namespace {
 
@@ -63,115 +64,112 @@ TEST(SimdKernels, GeqMaskSwarMatchesByteCompare) {
     }
 }
 
-TEST(SimdKernels, GeqAccumulateEveryBackendMatchesScalar) {
-    xoshiro256ss rng(22);
-    for (int trial = 0; trial < 200; ++trial) {
-        // Odd dims exercise the tail handling of every kernel.
-        const std::size_t dim = 1 + rng.next() % 200;
-        const std::uint8_t max_value = trial % 2 == 0 ? 127 : 15;
-        const auto thresholds = random_bytes(dim, max_value, rng);
-        const std::uint8_t q = static_cast<std::uint8_t>(rng.next() % (max_value + 1u));
-
-        std::vector<std::uint16_t> scalar(dim, 7); // nonzero start: += semantics
-        std::vector<std::uint16_t> swar(dim, 7);
-        simd::geq_accumulate_scalar(q, thresholds.data(), dim, scalar.data());
-        simd::geq_accumulate_swar(q, thresholds.data(), dim, swar.data());
-        EXPECT_EQ(scalar, swar);
-
-        for (const kernels::kernel_table* backend : admissible_backends()) {
-            std::vector<std::uint16_t> got(dim, 7);
-            backend->geq_accumulate(q, thresholds.data(), dim, got.data(), max_value);
-            EXPECT_EQ(scalar, got) << "backend=" << backend->name;
+// Straight from the kernel contract: out[i * dim + d] += sum_p
+// (q[i * npix + p] >= T(p, d)) with T read through bank_panel_offset.
+void naive_panel_accumulate(const std::vector<std::uint8_t>& q, std::size_t npix,
+                            std::size_t n_images, const std::vector<std::uint8_t>& panels,
+                            std::size_t dim, std::int32_t* out) {
+    for (std::size_t i = 0; i < n_images; ++i) {
+        for (std::size_t p = 0; p < npix; ++p) {
+            for (std::size_t d = 0; d < dim; ++d) {
+                const std::uint8_t t = panels[kernels::bank_panel_offset(npix, dim, p, d)];
+                out[i * dim + d] += q[i * npix + p] >= t ? 1 : 0;
+            }
         }
-
-        std::vector<std::uint16_t> dispatched(dim, 7);
-        kernels::geq_accumulate(q, thresholds.data(), dim, dispatched.data(),
-                                max_value);
-        EXPECT_EQ(scalar, dispatched);
     }
 }
 
-TEST(SimdKernels, GeqAccumulateFullByteRangeOnEveryBackend) {
-    // Thresholds above 127 are outside the SWAR wide-path contract; every
+TEST(SimdKernels, PanelOffsetsTileTheBankExactly) {
+    for (const std::size_t npix : {1u, 3u, 49u}) {
+        for (const std::size_t dim : {64u, 100u, 256u, 300u, 777u, 1024u}) {
+            std::vector<int> hits(npix * dim, 0);
+            for (std::size_t p = 0; p < npix; ++p) {
+                for (std::size_t d = 0; d < dim; ++d) {
+                    const std::size_t off = kernels::bank_panel_offset(npix, dim, p, d);
+                    ASSERT_LT(off, npix * dim);
+                    ++hits[off];
+                    // Dimensions of one panel are contiguous per pixel.
+                    if (d % kernels::bank_panel_dims != 0) {
+                        EXPECT_EQ(off, kernels::bank_panel_offset(npix, dim, p, d - 1) + 1);
+                    }
+                }
+                // Full-panel rows start on a cache line of an aligned bank.
+                for (std::size_t d0 = 0; d0 + kernels::bank_panel_dims <= dim;
+                     d0 += kernels::bank_panel_dims) {
+                    EXPECT_EQ(kernels::bank_panel_offset(npix, dim, p, d0) % 64, 0u);
+                }
+            }
+            EXPECT_TRUE(std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }))
+                << "npix=" << npix << " dim=" << dim;
+        }
+    }
+}
+
+TEST(SimdKernels, BlockKernelEveryBackendMatchesNaiveOnRaggedGrid) {
+    // npix straddles the 255-pixel u8 counter flush; dims are ragged
+    // against 64-lane vectors and the 256-wide panels; n_images runs past
+    // one 4-image register block plus every remainder. Outputs start
+    // nonzero (+= semantics) and are followed by guard slots no kernel may
+    // touch.
+    xoshiro256ss rng(66);
+    constexpr std::size_t max_images = 7;
+    constexpr std::size_t guard = 80;
+    int trial = 0;
+    for (const std::size_t npix : {1u, 255u, 256u, 784u}) {
+        for (const std::size_t dim : {1u, 63u, 65u, 200u, 256u, 300u, 520u}) {
+            const std::uint8_t max_value = trial++ % 2 == 0 ? 127 : 15;
+            const auto panels = random_bytes(npix * dim, max_value, rng);
+            const auto q = random_bytes(max_images * npix, max_value, rng);
+            std::vector<std::int32_t> expected(max_images * dim + guard, 3);
+            naive_panel_accumulate(q, npix, max_images, panels, dim, expected.data());
+
+            for (std::size_t n = 1; n <= max_images; ++n) {
+                const auto check = [&](const char* name, const std::vector<std::int32_t>& got) {
+                    ASSERT_TRUE(std::equal(got.begin(), got.begin() + n * dim,
+                                           expected.begin()))
+                        << name << " npix=" << npix << " dim=" << dim << " n=" << n;
+                    ASSERT_TRUE(std::all_of(got.begin() + n * dim, got.end(),
+                                            [](std::int32_t v) { return v == 3; }))
+                        << name << " wrote past its output, dim=" << dim << " n=" << n;
+                };
+                std::vector<std::int32_t> got(n * dim + guard, 3);
+                simd::geq_block_accumulate_reference(q.data(), npix, n, panels.data(), dim,
+                                                     got.data());
+                check("reference", got);
+                std::fill(got.begin(), got.end(), 3);
+                simd::geq_block_accumulate_swar(q.data(), npix, n, panels.data(), dim,
+                                                got.data());
+                check("swar body", got);
+                for (const kernels::kernel_table* backend : admissible_backends()) {
+                    std::fill(got.begin(), got.end(), 3);
+                    backend->geq_block_accumulate(q.data(), npix, n, panels.data(), dim,
+                                                  got.data(), max_value);
+                    check(backend->name, got);
+                }
+                std::fill(got.begin(), got.end(), 3);
+                kernels::geq_block_accumulate(q.data(), npix, n, panels.data(), dim,
+                                              got.data(), max_value);
+                check("dispatched", got);
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, BlockKernelFullByteRangeOnEveryBackend) {
+    // Values above 127 are outside the SWAR wide-path contract; every
     // backend must still be exact (the swar table falls back internally).
     xoshiro256ss rng(33);
-    const std::size_t dim = 97;
-    const auto thresholds = random_bytes(dim, 255, rng);
-    for (int qi = 0; qi < 256; qi += 17) {
-        const std::uint8_t q = static_cast<std::uint8_t>(qi);
-        std::vector<std::uint16_t> scalar(dim, 0);
-        simd::geq_accumulate_scalar(q, thresholds.data(), dim, scalar.data());
-        for (const kernels::kernel_table* backend : admissible_backends()) {
-            std::vector<std::uint16_t> got(dim, 0);
-            backend->geq_accumulate(q, thresholds.data(), dim, got.data(), 255);
-            EXPECT_EQ(scalar, got) << "backend=" << backend->name;
-        }
-    }
-}
-
-TEST(SimdKernels, BlockKernelsEveryBackendMatchesReferencePerPixelLoop) {
-    xoshiro256ss rng(66);
-    for (int trial = 0; trial < 60; ++trial) {
-        const std::size_t dim = 1 + rng.next() % 300; // exercises 128/8 tails
-        const std::size_t npix = 1 + rng.next() % 600; // crosses the 255 flush
-        const std::uint8_t max_value = trial % 2 == 0 ? 127 : 15;
-        const auto bank = random_bytes(npix * dim, max_value, rng);
-        const auto q = random_bytes(npix, max_value, rng);
-
-        std::vector<std::int32_t> expected(dim, 3); // nonzero start: += semantics
-        {
-            std::vector<std::uint16_t> tile(dim, 0);
-            for (std::size_t p = 0; p < npix; ++p) {
-                simd::geq_accumulate_reference(q[p], bank.data() + p * dim, dim,
-                                               tile.data());
-            }
-            simd::add_u16_to_i32(tile.data(), dim, expected.data());
-        }
-
-        std::vector<std::int32_t> scalar(dim, 3);
-        simd::geq_block_accumulate_scalar(q.data(), npix, bank.data(), dim, dim,
-                                          scalar.data());
-        EXPECT_EQ(expected, scalar);
-
-        std::vector<std::int32_t> swar(dim, 3);
-        simd::geq_block_accumulate_swar(q.data(), npix, bank.data(), dim, dim,
-                                        swar.data());
-        EXPECT_EQ(expected, swar);
-
-        for (const kernels::kernel_table* backend : admissible_backends()) {
-            std::vector<std::int32_t> got(dim, 3);
-            backend->geq_block_accumulate(q.data(), npix, bank.data(), dim, dim,
-                                          got.data(), max_value);
-            EXPECT_EQ(expected, got) << "backend=" << backend->name;
-        }
-
-        std::vector<std::int32_t> dispatched(dim, 3);
-        kernels::geq_block_accumulate(q.data(), npix, bank.data(), dim, dim,
-                                      dispatched.data(), max_value);
-        EXPECT_EQ(expected, dispatched);
-    }
-}
-
-TEST(SimdKernels, BlockKernelHonorsRowStrideOnEveryBackend) {
-    // stride > dim: the kernel must only read the first `dim` bytes of
-    // each row.
-    xoshiro256ss rng(77);
-    const std::size_t dim = 160; // one full 128-wide tile plus a tail
-    const std::size_t stride = 200;
     const std::size_t npix = 40;
-    const auto bank = random_bytes(npix * stride, 127, rng);
-    const auto q = random_bytes(npix, 127, rng);
-
-    std::vector<std::int32_t> expected(dim, 0);
-    for (std::size_t p = 0; p < npix; ++p) {
-        for (std::size_t d = 0; d < dim; ++d) {
-            expected[d] += q[p] >= bank[p * stride + d] ? 1 : 0;
-        }
-    }
+    const std::size_t dim = 300;
+    const std::size_t n = 5;
+    const auto panels = random_bytes(npix * dim, 255, rng);
+    const auto q = random_bytes(n * npix, 255, rng);
+    std::vector<std::int32_t> expected(n * dim, 0);
+    naive_panel_accumulate(q, npix, n, panels, dim, expected.data());
     for (const kernels::kernel_table* backend : admissible_backends()) {
-        std::vector<std::int32_t> got(dim, 0);
-        backend->geq_block_accumulate(q.data(), npix, bank.data(), stride, dim,
-                                      got.data(), 127);
+        std::vector<std::int32_t> got(n * dim, 0);
+        backend->geq_block_accumulate(q.data(), npix, n, panels.data(), dim, got.data(),
+                                      255);
         EXPECT_EQ(expected, got) << "backend=" << backend->name;
     }
 }
@@ -469,6 +467,47 @@ TEST(EncoderEquivalence, EncodeBatchMatchesPerImageEncode) {
         std::vector<std::int32_t> pooled(count * enc.dim());
         enc.encode_batch(images, count, pooled, &pool);
         ASSERT_EQ(batched, pooled) << "threads=" << threads;
+    }
+}
+
+TEST(EncoderEquivalence, BlockedBatchMatchesScalarOracleStoredAndCustomBank) {
+    // Ragged dims against vectors and panels, batches of 1..7 images plus
+    // one that crosses the encode_block_images kernel-call split, for the
+    // Sobol bank and an arbitrary custom bank.
+    xoshiro256ss rng(31);
+    const data::image_shape shape{9, 9, 1};
+    for (const std::size_t dim : {100u, 300u, 777u}) {
+        core::uhd_config cfg;
+        cfg.dim = dim;
+        const auto raw = random_bytes(shape.pixels() * dim, cfg.quant_levels - 1, rng);
+        const core::uhd_encoder sobol(cfg, shape);
+        const core::uhd_encoder custom(
+            cfg, shape,
+            ld::quantized_sobol_bank::from_raw(shape.pixels(), dim, cfg.quant_levels, raw));
+        for (const core::uhd_encoder* enc : {&sobol, &custom}) {
+            const std::size_t count = core::uhd_encoder::encode_block_images + 6;
+            const auto images = random_bytes(count * shape.pixels(), 255, rng);
+            std::vector<std::int32_t> oracle(count * dim);
+            for (std::size_t i = 0; i < count; ++i) {
+                enc->encode_scalar(
+                    std::span<const std::uint8_t>(images).subspan(i * shape.pixels(),
+                                                                  shape.pixels()),
+                    std::span<std::int32_t>(oracle).subspan(i * dim, dim));
+            }
+            for (std::size_t n = 1; n <= 7; ++n) {
+                std::vector<std::int32_t> got(n * dim);
+                enc->encode_batch(std::span<const std::uint8_t>(images).first(
+                                      n * shape.pixels()),
+                                  n, got);
+                ASSERT_TRUE(std::equal(got.begin(), got.end(), oracle.begin()))
+                    << "dim=" << dim << " n=" << n << " custom=" << (enc == &custom)
+                    << " backend=" << kernels::active().name;
+            }
+            thread_pool pool(2);
+            std::vector<std::int32_t> got(count * dim);
+            enc->encode_batch(images, count, got, &pool);
+            ASSERT_EQ(got, oracle) << "dim=" << dim << " custom=" << (enc == &custom);
+        }
     }
 }
 

@@ -2,8 +2,14 @@
 // exact paths; threshold semantics; paper worked examples.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "uhd/common/error.hpp"
+#include "uhd/common/kernels.hpp"
+#include "uhd/common/rng.hpp"
 #include "uhd/core/encoder.hpp"
+#include "uhd/lowdisc/sobol.hpp"
 
 namespace {
 
@@ -172,6 +178,72 @@ TEST(UhdEncoder, MemoryScalesWithDimAndPixels) {
     const uhd_encoder a(small_config(), {4, 4, 1});
     const uhd_encoder b(big, {4, 4, 1});
     EXPECT_GT(b.memory_bytes(), a.memory_bytes());
+}
+
+// Row-major reference bank of a Sobol encoder (the ctor's construction).
+uhd::ld::quantized_sobol_bank sobol_bank(const uhd_encoder& enc) {
+    const uhd_config& cfg = enc.config();
+    return {enc.directions(), enc.pixels(), cfg.dim, cfg.quant_levels,
+            cfg.scramble ? cfg.sobol_seed : 0};
+}
+
+TEST(UhdEncoder, PanelBankIsCacheLineAlignedAndExactlySized) {
+    for (const std::size_t dim : {64u, 300u, 1024u}) {
+        uhd_config cfg;
+        cfg.dim = dim;
+        const uhd_encoder enc(cfg, {28, 28, 1});
+        const auto bank = enc.panel_bank();
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bank.data()) % 64, 0u) << dim;
+        EXPECT_EQ(bank.size(), enc.pixels() * dim);
+    }
+}
+
+TEST(UhdEncoder, TableOneAccountingIsExact) {
+    // Stored thresholds are pixels x D bytes (the row-major copy is not
+    // kept next to the panels); memory_bytes adds the UST, the direction
+    // table, the per-pixel CDF sidecar and the intensity LUT.
+    for (const std::size_t dim : {128u, 1000u}) {
+        uhd_config cfg;
+        cfg.dim = dim;
+        const uhd_encoder enc(cfg, {28, 28, 1});
+        EXPECT_EQ(enc.threshold_bytes(), enc.pixels() * dim);
+        EXPECT_EQ(enc.memory_bytes(),
+                  enc.threshold_bytes() + enc.stream_table().memory_bytes() +
+                      enc.directions().memory_bytes() +
+                      enc.pixels() * cfg.quant_levels * sizeof(std::uint32_t) + 256);
+    }
+}
+
+TEST(UhdEncoder, RowAndThresholdAccessorsMatchTheRowMajorBank) {
+    uhd::xoshiro256ss rng(8);
+    const uhd::data::image_shape shape{7, 5, 1};
+    for (const std::size_t dim : {64u, 300u, 520u}) {
+        uhd_config cfg;
+        cfg.dim = dim;
+        const uhd_encoder sobol(cfg, shape);
+        std::vector<std::uint8_t> raw(shape.pixels() * dim);
+        for (auto& v : raw) v = static_cast<std::uint8_t>(rng.next() % cfg.quant_levels);
+        const uhd_encoder custom(cfg, shape,
+                                 uhd::ld::quantized_sobol_bank::from_raw(
+                                     shape.pixels(), dim, cfg.quant_levels, raw));
+        const auto sobol_ref = sobol_bank(sobol);
+        for (std::size_t p = 0; p < shape.pixels(); ++p) {
+            const auto want_sobol = sobol_ref.row(p);
+            const std::vector<std::uint8_t> want_custom(raw.begin() + p * dim,
+                                                        raw.begin() + (p + 1) * dim);
+            const auto sobol_row = sobol.sobol_row(p);
+            ASSERT_TRUE(std::equal(want_sobol.begin(), want_sobol.end(), sobol_row.begin()));
+            const auto custom_row = custom.sobol_row(p);
+            ASSERT_EQ(std::vector<std::uint8_t>(custom_row.begin(), custom_row.end()),
+                      want_custom);
+            for (std::size_t d = 0; d < dim; ++d) {
+                ASSERT_EQ(sobol.threshold(p, d), want_sobol[d]) << p << "," << d;
+                ASSERT_EQ(custom.threshold(p, d), want_custom[d]) << p << "," << d;
+            }
+        }
+        EXPECT_THROW((void)sobol.threshold(shape.pixels(), 0), uhd::error);
+        EXPECT_THROW((void)sobol.threshold(0, dim), uhd::error);
+    }
 }
 
 } // namespace

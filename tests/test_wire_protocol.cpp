@@ -7,10 +7,16 @@
 // disconnect. The server+engine suites here also run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -421,6 +427,72 @@ TEST(WireServer, StopWithInflightRequestsShutsDownCleanly) {
     fx.server->stop(); // races the in-flight answers on purpose
     fx.server.reset();
     fx.engine.reset();
+}
+
+/// Lowers RLIMIT_NOFILE to just above the lowest free descriptor and fills
+/// every remaining slot, restoring both on destruction.
+struct fd_exhaustion {
+    rlimit saved{};
+    std::vector<socket_fd> fillers;
+
+    fd_exhaustion() {
+        EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+        const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        EXPECT_GE(lowest_free, 0);
+        ::close(lowest_free);
+        rlimit low = saved;
+        low.rlim_cur = static_cast<rlim_t>(lowest_free) + 4;
+        EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+        // At most 4 free slots below the new limit, plus any holes.
+        for (int i = 0; i < 64; ++i) {
+            const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+            if (fd < 0) break;
+            fillers.emplace_back(fd);
+        }
+        EXPECT_EQ(::open("/dev/null", O_RDONLY | O_CLOEXEC), -1);
+        EXPECT_EQ(errno, EMFILE);
+    }
+    ~fd_exhaustion() {
+        fillers.clear();
+        ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+    fd_exhaustion(const fd_exhaustion&) = delete;
+    fd_exhaustion& operator=(const fd_exhaustion&) = delete;
+};
+
+TEST(WireServer, FdExhaustionShedsPendingConnectionInsteadOfStalling) {
+    // The listener is edge-triggered. When accept() fails with EMFILE the
+    // connection stays queued and no new edge arrives for it, so without
+    // the reserve fd the client below would wait until some other client
+    // connected. The server must instead shed it at once.
+    server_fixture fx;
+    socket_fd victim(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    ASSERT_TRUE(victim.valid());
+    timeval tv{};
+    tv.tv_sec = 5;
+    ASSERT_EQ(::setsockopt(victim.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(fx.server->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    {
+        const fd_exhaustion exhausted;
+        // connect() needs no new descriptor; the kernel completes the
+        // handshake from the listen backlog.
+        ASSERT_EQ(::connect(victim.get(), reinterpret_cast<const sockaddr*>(&addr),
+                            sizeof(addr)),
+                  0);
+        std::uint8_t byte = 0;
+        const ssize_t n = ::recv(victim.get(), &byte, 1, 0);
+        const int err = errno;
+        // EOF (or a reset) — not the receive timeout of a stalled accept.
+        EXPECT_TRUE(n == 0 || (n < 0 && err == ECONNRESET))
+            << "recv returned " << n << " errno " << std::strerror(err);
+    }
+    // Descriptors are back: the server accepts and answers normally.
+    wire_client client = fx.connect();
+    client.ping();
+    EXPECT_EQ(client.stats().connections_accepted, 1u);
 }
 
 // --- frame fuzzing --------------------------------------------------------
