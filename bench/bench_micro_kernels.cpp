@@ -146,23 +146,36 @@ void BM_BackendGeqBlockKernel(benchmark::State& state,
                             static_cast<std::int64_t>(images));
 }
 
+/// A 10-class packed memory and one packed query at dimension `dim`, for
+/// the Hamming benchmarks. A single query is a block of one: every
+/// Hamming benchmark runs a block kernel with n_queries = 1.
+struct hamming_workload {
+    static constexpr std::size_t classes = 10;
+    std::size_t words;
+    std::vector<std::uint64_t> memory;
+    std::vector<std::uint64_t> query;
+
+    explicit hamming_workload(std::size_t dim)
+        : words(kernels::sign_words(dim)), memory(classes * words), query(words) {
+        xoshiro256ss rng(5);
+        for (auto& w : memory) w = rng.next();
+        for (auto& w : query) w = rng.next();
+    }
+};
+
 void BM_BackendHammingArgmin(benchmark::State& state,
                              const kernels::kernel_table* table) {
     const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t classes = 10;
-    xoshiro256ss rng(5);
-    const std::size_t words = kernels::sign_words(dim);
-    std::vector<std::uint64_t> memory(classes * words);
-    std::vector<std::uint64_t> query(words);
-    for (auto& w : memory) w = rng.next();
-    for (auto& w : query) w = rng.next();
+    const hamming_workload w(dim);
+    kernels::argmin2_result r{};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            table->hamming_argmin(query.data(), memory.data(), words, classes,
-                                  nullptr));
+        table->hamming_block_argmin2_prefix(w.query.data(), w.words, 1,
+                                            w.memory.data(), w.words, w.words,
+                                            w.classes, &r);
+        benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * dim));
+                            static_cast<std::int64_t>(w.classes * dim));
 }
 
 /// One BM_BackendGeqBlockKernel / BM_BackendHammingArgmin pair per backend the
@@ -346,37 +359,31 @@ BENCHMARK(BM_SignBinarize)->Arg(1024)->Arg(8192);
 
 void BM_HammingArgminReference(benchmark::State& state) {
     const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t classes = 10;
-    xoshiro256ss rng(5);
-    const std::size_t words = kernels::sign_words(dim);
-    std::vector<std::uint64_t> memory(classes * words);
-    std::vector<std::uint64_t> query(words);
-    for (auto& w : memory) w = rng.next();
-    for (auto& w : query) w = rng.next();
+    const hamming_workload w(dim);
+    kernels::argmin2_result r{};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(simd::hamming_argmin_reference(
-            query.data(), memory.data(), words, classes));
+        simd::hamming_block_argmin2_prefix_reference(w.query.data(), w.words, 1,
+                                                     w.memory.data(), w.words,
+                                                     w.words, w.classes, &r);
+        benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * dim));
+                            static_cast<std::int64_t>(w.classes * dim));
 }
 BENCHMARK(BM_HammingArgminReference)->Arg(1024)->Arg(8192);
 
 void BM_HammingArgmin(benchmark::State& state) {
     const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t classes = 10;
-    xoshiro256ss rng(5);
-    const std::size_t words = kernels::sign_words(dim);
-    std::vector<std::uint64_t> memory(classes * words);
-    std::vector<std::uint64_t> query(words);
-    for (auto& w : memory) w = rng.next();
-    for (auto& w : query) w = rng.next();
+    const hamming_workload w(dim);
+    kernels::argmin2_result r{};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            kernels::hamming_argmin(query.data(), memory.data(), words, classes));
+        kernels::hamming_block_argmin2_prefix(w.query.data(), w.words, 1,
+                                              w.memory.data(), w.words, w.words,
+                                              w.classes, &r);
+        benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * dim));
+                            static_cast<std::int64_t>(w.classes * dim));
 }
 BENCHMARK(BM_HammingArgmin)->Arg(1024)->Arg(8192);
 
@@ -384,21 +391,17 @@ void BM_HammingArgmin2Prefix(benchmark::State& state) {
     // The dynamic-dimension query kernel: argmin + runner-up margin over a
     // D/8 prefix window of each packed class row (state.range = full D).
     const auto dim = static_cast<std::size_t>(state.range(0));
-    const std::size_t classes = 10;
-    xoshiro256ss rng(5);
-    const std::size_t words = kernels::sign_words(dim);
-    const std::size_t window = std::max<std::size_t>(1, words / 8);
-    std::vector<std::uint64_t> memory(classes * words);
-    std::vector<std::uint64_t> query(words);
-    for (auto& w : memory) w = rng.next();
-    for (auto& w : query) w = rng.next();
+    const hamming_workload w(dim);
+    const std::size_t window = std::max<std::size_t>(1, w.words / 8);
+    kernels::argmin2_result r{};
     for (auto _ : state) {
-        const auto r = kernels::hamming_argmin2_prefix(query.data(), memory.data(),
-                                                    words, window, classes);
+        kernels::hamming_block_argmin2_prefix(w.query.data(), w.words, 1,
+                                              w.memory.data(), w.words, window,
+                                              w.classes, &r);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(classes * window * 64));
+                            static_cast<std::int64_t>(w.classes * window * 64));
 }
 BENCHMARK(BM_HammingArgmin2Prefix)->Arg(1024)->Arg(8192);
 

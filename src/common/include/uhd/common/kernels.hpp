@@ -22,6 +22,14 @@
 // it never silently falls back and never executes unsupported
 // instructions.
 //
+// A table has eight kernel slots:
+//   * encode — geq_block_accumulate (stored threshold bank) and
+//     geq_rematerialize_accumulate (thresholds regenerated on the fly);
+//   * associative search — sign_binarize plus the two query-block Hamming
+//     kernels, hamming_block_extend and hamming_block_argmin2_prefix. A
+//     single query is a block of one; there is no separate per-query path;
+//   * integer reductions — sum_squares_i32, dot_i32 and masked_sum_i32.
+//
 // Every backend is bit-exact against the scalar reference for the integer
 // kernels, and runs the identical fixed-lane-order algorithm for the
 // double reductions, so results are bit-identical across backends; the
@@ -123,29 +131,9 @@ struct kernel_table {
     void (*sign_binarize)(const std::int32_t* v, std::size_t n,
                           std::uint64_t* words);
 
-    /// popcount(a XOR b) over n packed words (Hamming distance).
-    std::uint64_t (*hamming_distance_words)(const std::uint64_t* a,
-                                            const std::uint64_t* b, std::size_t n);
-
-    /// Nearest row of a row-major packed memory (first-wins on ties).
-    std::size_t (*hamming_argmin)(const std::uint64_t* query,
-                                  const std::uint64_t* rows, std::size_t words,
-                                  std::size_t n_rows,
-                                  std::uint64_t* best_distance_out);
-
-    /// argmin + runner-up over the first `prefix_words` of each row.
-    argmin2_result (*hamming_argmin2_prefix)(const std::uint64_t* query,
-                                             const std::uint64_t* rows,
-                                             std::size_t row_words,
-                                             std::size_t prefix_words,
-                                             std::size_t n_rows);
-
-    /// distances[r] += popcount(query ^ row_r) over words [from_word,
-    /// to_word) — the incremental window of the early-exit cascade.
-    void (*hamming_extend_words)(const std::uint64_t* query,
-                                 const std::uint64_t* rows, std::size_t row_words,
-                                 std::size_t from_word, std::size_t to_word,
-                                 std::size_t n_rows, std::uint64_t* distances);
+    // The two Hamming slots below are the whole associative search: a
+    // single query is a block of one (n_queries = 1), and each backend
+    // handles the query tails (n_queries % 4) itself.
 
     /// Query-block window extension — the bitwise-GEMM tile kernel:
     /// distances[q * n_rows + r] += popcount(query_q ^ row_r) over words
@@ -154,7 +142,8 @@ struct kernel_table {
     /// `query_words` words each (>= to_word). Wide backends register-block
     /// the (query, row) plane so each class row is streamed once per query
     /// tile instead of once per query; the accumulated distances are exact
-    /// integers, bit-identical to per-query hamming_extend_words calls.
+    /// integers, so any blocking — and any split of the word window into
+    /// consecutive extends — is bit-identical to one per-pair scan.
     void (*hamming_block_extend)(const std::uint64_t* queries,
                                  std::size_t query_words, std::size_t n_queries,
                                  const std::uint64_t* rows, std::size_t row_words,
@@ -162,10 +151,10 @@ struct kernel_table {
                                  std::size_t n_rows, std::uint64_t* distances);
 
     /// Fused query-block argmin + runner-up over the first `prefix_words`
-    /// of every row: results[q] is exactly hamming_argmin2_prefix(query_q)
-    /// (first-wins ties, all-ones runner-up when n_rows < 2), computed with
-    /// the same row-streaming tile as hamming_block_extend but without
-    /// materializing the queries x rows distance matrix.
+    /// of every row: results[q] is argmin2_u64 of query q's prefix
+    /// distances (first-wins ties, all-ones runner-up when n_rows < 2),
+    /// computed with the same row-streaming tile as hamming_block_extend
+    /// but without materializing the queries x rows distance matrix.
     void (*hamming_block_argmin2_prefix)(const std::uint64_t* queries,
                                          std::size_t query_words,
                                          std::size_t n_queries,
@@ -246,33 +235,6 @@ inline void geq_rematerialize_accumulate(const std::uint32_t* directions,
 inline void sign_binarize(const std::int32_t* v, std::size_t n,
                           std::uint64_t* words) {
     active().sign_binarize(v, n, words);
-}
-
-[[nodiscard]] inline std::uint64_t hamming_distance_words(const std::uint64_t* a,
-                                                          const std::uint64_t* b,
-                                                          std::size_t n) {
-    return active().hamming_distance_words(a, b, n);
-}
-
-[[nodiscard]] inline std::size_t hamming_argmin(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t words,
-    std::size_t n_rows, std::uint64_t* best_distance_out = nullptr) {
-    return active().hamming_argmin(query, rows, words, n_rows, best_distance_out);
-}
-
-[[nodiscard]] inline argmin2_result hamming_argmin2_prefix(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t prefix_words, std::size_t n_rows) {
-    return active().hamming_argmin2_prefix(query, rows, row_words, prefix_words,
-                                           n_rows);
-}
-
-inline void hamming_extend_words(const std::uint64_t* query,
-                                 const std::uint64_t* rows, std::size_t row_words,
-                                 std::size_t from_word, std::size_t to_word,
-                                 std::size_t n_rows, std::uint64_t* distances) {
-    active().hamming_extend_words(query, rows, row_words, from_word, to_word,
-                                  n_rows, distances);
 }
 
 inline void hamming_block_extend(const std::uint64_t* queries,

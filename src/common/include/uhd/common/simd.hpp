@@ -10,8 +10,8 @@
 //  2. the portable scalar helpers (vector-width tails, tile flushes);
 //  3. the SWAR/u64 kernels — 64-bit word-parallel implementations with no
 //     ISA requirement beyond a 64-bit integer unit;
-//  4. word-at-a-time popcount reductions and the packed-row scan loops
-//     built on them.
+//  4. the register-blocked query-block Hamming kernels and the
+//     word-at-a-time XOR-popcount they reduce ragged edges with.
 //
 // ISA-specific kernel bodies live in per-backend translation units
 // (src/common/kernels_scalar.cpp, kernels_swar.cpp, kernels_avx2.cpp); the
@@ -371,13 +371,8 @@ inline void sign_binarize_swar(const std::int32_t* v, std::size_t n,
     }
 }
 
-// The plain popcount_words / and_popcount_words reductions that used to
-// live here are gone: the bitstream layer carries its own word-level
-// popcounts and every other call site consumes the read state through the
-// uhd::kernels registry, so only the XOR reduction (the Hamming kernel
-// the packed-row scans are built on) still has consumers.
-
-/// popcount(a XOR b) over `n` packed words (Hamming distance kernel).
+/// popcount(a XOR b) over `n` packed words: the per-row Hamming distance
+/// the portable query-block kernels reduce their ragged edges with.
 [[nodiscard]] inline std::uint64_t xor_popcount_words(const std::uint64_t* a,
                                                       const std::uint64_t* b,
                                                       std::size_t n) noexcept {
@@ -386,150 +381,24 @@ inline void sign_binarize_swar(const std::int32_t* v, std::size_t n,
     return total;
 }
 
-// --- Hamming-argmin over a packed associative memory ----------------------
-//
-// `rows` holds `n_rows` binarized class vectors back-to-back, `words` u64
-// words each. The query uses the same packing. Ties resolve to the lowest
-// row index (strict <), which is exactly the first-wins rule of the
-// per-class cosine scan it replaces: cosine = (D - 2 * hamming) / D is
-// strictly decreasing in the distance, so argmax-cosine with strict >
-// equals argmin-distance with strict <.
-
-/// Pinned scalar oracle: per-row distance via a plain popcount loop.
-UHD_SCALAR_REFERENCE inline std::size_t hamming_argmin_reference(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t words,
-    std::size_t n_rows, std::uint64_t* best_distance_out = nullptr) noexcept {
-    std::size_t best = 0;
-    std::uint64_t best_distance = ~std::uint64_t{0};
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        std::uint64_t distance = 0;
-        UHD_NOVECTOR_LOOP
-        for (std::size_t w = 0; w < words; ++w) {
-            distance += static_cast<std::uint64_t>(
-                std::popcount(query[w] ^ rows[r * words + w]));
-        }
-        if (distance < best_distance) {
-            best_distance = distance;
-            best = r;
-        }
-    }
-    if (best_distance_out != nullptr) *best_distance_out = best_distance;
-    return best;
-}
-
-/// Portable word-parallel Hamming-argmin: one pass over the row-major
-/// memory, each row reduced with xor_popcount_words.
-[[nodiscard]] inline std::size_t hamming_argmin_words(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t words,
-    std::size_t n_rows, std::uint64_t* best_distance_out = nullptr) noexcept {
-    std::size_t best = 0;
-    std::uint64_t best_distance = ~std::uint64_t{0};
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        const std::uint64_t distance =
-            xor_popcount_words(query, rows + r * words, words);
-        if (distance < best_distance) {
-            best_distance = distance;
-            best = r;
-        }
-    }
-    if (best_distance_out != nullptr) *best_distance_out = best_distance;
-    return best;
-}
-
-// --- prefix-window Hamming kernels (dynamic-dimension queries) ------------
-//
-// Same row-major packed memory as the argmin scan, but only the first
-// `prefix_words` of each `row_words`-word row are reduced — the kernel
-// behind dimension-truncated associative search (answer a query from a
-// D/8, D/4, ... prefix of every class row and escalate only when the
-// top-1/top-2 margin is too small). Ties keep the first-wins rule, so a
-// full-window call (prefix_words == row_words) is bit-identical to the
-// full argmin.
-
-/// Pinned scalar oracle for the prefix-window argmin + runner-up scan.
-UHD_SCALAR_REFERENCE inline argmin2_result hamming_argmin2_prefix_reference(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t prefix_words, std::size_t n_rows) noexcept {
-    argmin2_result r{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        std::uint64_t distance = 0;
-        UHD_NOVECTOR_LOOP
-        for (std::size_t w = 0; w < prefix_words; ++w) {
-            distance += static_cast<std::uint64_t>(
-                std::popcount(query[w] ^ rows[row * row_words + w]));
-        }
-        if (distance < r.distance) {
-            r.runner_up = r.distance;
-            r.distance = distance;
-            r.index = row;
-        } else if (distance < r.runner_up) {
-            r.runner_up = distance;
-        }
-    }
-    return r;
-}
-
-/// Portable word-parallel prefix-window argmin + runner-up.
-[[nodiscard]] inline argmin2_result hamming_argmin2_prefix_words(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t prefix_words, std::size_t n_rows) noexcept {
-    argmin2_result r{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        const std::uint64_t distance =
-            xor_popcount_words(query, rows + row * row_words, prefix_words);
-        if (distance < r.distance) {
-            r.runner_up = r.distance;
-            r.distance = distance;
-            r.index = row;
-        } else if (distance < r.runner_up) {
-            r.runner_up = distance;
-        }
-    }
-    return r;
-}
-
-/// Pinned scalar oracle for the incremental window extension.
-UHD_SCALAR_REFERENCE inline void hamming_extend_words_reference(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t from_word, std::size_t to_word, std::size_t n_rows,
-    std::uint64_t* distances) noexcept {
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        std::uint64_t distance = 0;
-        UHD_NOVECTOR_LOOP
-        for (std::size_t w = from_word; w < to_word; ++w) {
-            distance += static_cast<std::uint64_t>(
-                std::popcount(query[w] ^ rows[row * row_words + w]));
-        }
-        distances[row] += distance;
-    }
-}
-
-/// Extend running per-row distances by the window [from_word, to_word):
-/// distances[r] += popcount(query ^ row_r) over those words. The early-exit
-/// cascade grows each stage's window incrementally with this, so the total
-/// words scanned per query is n_rows * final_window (never re-scanned), and
-/// the accumulated distances are bit-identical to a fresh prefix scan.
-inline void hamming_extend_words_portable(
-    const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_words,
-    std::size_t from_word, std::size_t to_word, std::size_t n_rows,
-    std::uint64_t* distances) noexcept {
-    const std::size_t span = to_word - from_word;
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        distances[row] += xor_popcount_words(
-            query + from_word, rows + row * row_words + from_word, span);
-    }
-}
-
 // --- query-block Hamming kernels (multi-query bitwise GEMM) ---------------
 //
-// A block of packed queries against the whole row-major memory in one call:
+// The associative search over a packed memory: `rows` holds `n_rows`
+// binarized class vectors back-to-back, `row_words` u64 words each, and the
+// queries use the same packing. A block of queries is answered in one call:
 // the queries x rows distance plane is tiled (4 queries x 2 rows per inner
 // tile here; the wide backends use the same shape over vector words) so
 // each class row is streamed from memory once per query *tile* instead of
-// once per query. Distances are exact integer popcounts, so any tile order
-// is bit-identical to per-query scans; the fused argmin2 variant applies
-// row updates in ascending row order per query, preserving the first-wins
-// tie rule of the single-query kernels.
+// once per query, and the 1-3 query tail (a single query included) runs
+// per-row XOR-popcount loops. Distances are exact integer popcounts, so any
+// tile order is bit-identical to per-query scans. The fused argmin2 variant
+// applies row updates in ascending row order per query, so ties resolve to
+// the lowest row index (strict <) — exactly the first-wins rule of the
+// per-class cosine scan it replaces: cosine = (D - 2 * hamming) / D is
+// strictly decreasing in the distance, so argmax-cosine with strict >
+// equals argmin-distance with strict <. A prefix window shorter than the
+// row (prefix_words < row_words) is the dimension-truncated search of the
+// early-exit cascade.
 
 /// Pinned scalar oracle for the query-block window extension.
 UHD_SCALAR_REFERENCE inline void hamming_block_extend_reference(
@@ -694,8 +563,12 @@ inline void hamming_block_argmin2_prefix_portable(
         }
     }
     for (; q < n_queries; ++q) {
-        results[q] = hamming_argmin2_prefix_words(queries + q * query_words, rows,
-                                                  row_words, prefix_words, n_rows);
+        const std::uint64_t* query = queries + q * query_words;
+        for (std::size_t row = 0; row < n_rows; ++row) {
+            argmin2_update(results[q], row,
+                           xor_popcount_words(query, rows + row * row_words,
+                                              prefix_words));
+        }
     }
 }
 

@@ -219,12 +219,22 @@ void sign_binarize(const std::int32_t* v, std::size_t n, std::uint64_t* words) {
     }
 }
 
-// --- XOR-popcount reductions ----------------------------------------------
+// --- query-block Hamming kernels ------------------------------------------
 
-/// popcount(a XOR b) with the pshufb nibble-LUT popcount, 4 words (256
-/// bits) per step. Bit-exact with the portable word loop.
-std::uint64_t hamming_distance_words(const std::uint64_t* a, const std::uint64_t* b,
-                                     std::size_t n) {
+/// One nibble-LUT popcount step: per-64-lane bit counts of a 256-bit word
+/// (per-byte counts <= 16; sad_epu8 folds them into four u64 lanes).
+__m256i popcount256(__m256i x, __m256i lut, __m256i low_nibble) {
+    const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_nibble));
+    const __m256i hi = _mm256_shuffle_epi8(
+        lut, _mm256_and_si256(_mm256_srli_epi32(x, 4), low_nibble));
+    return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
+}
+
+/// popcount(a XOR b) with the nibble-LUT popcount, 4 words (256 bits) per
+/// step: the per-row distance of the ragged tile edges and of the 1-3
+/// query tail. Bit-exact with the portable word loop.
+std::uint64_t xor_popcount_words(const std::uint64_t* a, const std::uint64_t* b,
+                                 std::size_t n) {
     const __m256i low_nibble = _mm256_set1_epi8(0x0F);
     const __m256i lut =
         _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2,
@@ -235,75 +245,13 @@ std::uint64_t hamming_distance_words(const std::uint64_t* a, const std::uint64_t
         const __m256i x = _mm256_xor_si256(
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-        const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_nibble));
-        const __m256i hi = _mm256_shuffle_epi8(
-            lut, _mm256_and_si256(_mm256_srli_epi32(x, 4), low_nibble));
-        // Per-byte counts <= 16; sad_epu8 folds them into four u64 lanes.
-        acc = _mm256_add_epi64(
-            acc, _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256()));
+        acc = _mm256_add_epi64(acc, popcount256(x, lut, low_nibble));
     }
     alignas(32) std::uint64_t lanes[4];
     _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
     std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
     for (; i < n; ++i) total += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
     return total;
-}
-
-std::size_t hamming_argmin(const std::uint64_t* query, const std::uint64_t* rows,
-                           std::size_t words, std::size_t n_rows,
-                           std::uint64_t* best_distance_out) {
-    std::size_t best = 0;
-    std::uint64_t best_distance = ~std::uint64_t{0};
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        const std::uint64_t distance =
-            hamming_distance_words(query, rows + r * words, words);
-        if (distance < best_distance) {
-            best_distance = distance;
-            best = r;
-        }
-    }
-    if (best_distance_out != nullptr) *best_distance_out = best_distance;
-    return best;
-}
-
-argmin2_result hamming_argmin2_prefix(const std::uint64_t* query,
-                                      const std::uint64_t* rows,
-                                      std::size_t row_words, std::size_t prefix_words,
-                                      std::size_t n_rows) {
-    argmin2_result r{0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        const std::uint64_t distance =
-            hamming_distance_words(query, rows + row * row_words, prefix_words);
-        if (distance < r.distance) {
-            r.runner_up = r.distance;
-            r.distance = distance;
-            r.index = row;
-        } else if (distance < r.runner_up) {
-            r.runner_up = distance;
-        }
-    }
-    return r;
-}
-
-void hamming_extend_words(const std::uint64_t* query, const std::uint64_t* rows,
-                          std::size_t row_words, std::size_t from_word,
-                          std::size_t to_word, std::size_t n_rows,
-                          std::uint64_t* distances) {
-    const std::size_t span = to_word - from_word;
-    for (std::size_t row = 0; row < n_rows; ++row) {
-        distances[row] += hamming_distance_words(
-            query + from_word, rows + row * row_words + from_word, span);
-    }
-}
-
-// --- query-block Hamming kernels ------------------------------------------
-
-/// One nibble-LUT popcount step: per-64-lane bit counts of a 256-bit word.
-__m256i popcount256(__m256i x, __m256i lut, __m256i low_nibble) {
-    const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_nibble));
-    const __m256i hi = _mm256_shuffle_epi8(
-        lut, _mm256_and_si256(_mm256_srli_epi32(x, 4), low_nibble));
-    return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
 }
 
 /// Register-blocked tile: XOR-popcount distances over words [from_word,
@@ -376,14 +324,14 @@ void hamming_block_extend(const std::uint64_t* queries, std::size_t query_words,
             const std::uint64_t* r0 = rows + row * row_words + from_word;
             for (std::size_t qi = 0; qi < 4; ++qi) {
                 distances[(q + qi) * n_rows + row] +=
-                    hamming_distance_words(qp[qi] + from_word, r0, span);
+                    xor_popcount_words(qp[qi] + from_word, r0, span);
             }
         }
     }
     for (; q < n_queries; ++q) {
         const std::uint64_t* query = queries + q * query_words;
         for (std::size_t row = 0; row < n_rows; ++row) {
-            distances[q * n_rows + row] += hamming_distance_words(
+            distances[q * n_rows + row] += xor_popcount_words(
                 query + from_word, rows + row * row_words + from_word, span);
         }
     }
@@ -427,13 +375,17 @@ void hamming_block_argmin2_prefix(const std::uint64_t* queries,
             const std::uint64_t* r0 = rows + row * row_words;
             for (std::size_t qi = 0; qi < 4; ++qi) {
                 argmin2_update(results[q + qi], row,
-                               hamming_distance_words(qp[qi], r0, prefix_words));
+                               xor_popcount_words(qp[qi], r0, prefix_words));
             }
         }
     }
     for (; q < n_queries; ++q) {
-        results[q] = hamming_argmin2_prefix(queries + q * query_words, rows,
-                                            row_words, prefix_words, n_rows);
+        const std::uint64_t* query = queries + q * query_words;
+        for (std::size_t row = 0; row < n_rows; ++row) {
+            argmin2_update(results[q], row,
+                           xor_popcount_words(query, rows + row * row_words,
+                                              prefix_words));
+        }
     }
 }
 
@@ -493,9 +445,7 @@ constexpr kernel_table table{
     "avx2",            supported,
     geq_block_accumulate,
     geq_rematerialize_accumulate,
-    sign_binarize,     hamming_distance_words,
-    hamming_argmin,    hamming_argmin2_prefix,
-    hamming_extend_words,
+    sign_binarize,
     hamming_block_extend,
     hamming_block_argmin2_prefix,
     sum_squares_i32,   dot_i32,

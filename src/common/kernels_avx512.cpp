@@ -11,8 +11,8 @@
 // compiled here under -mavx512* could be COMDAT-selected for the whole
 // program and execute AVX-512 code on machines the probe rejected.
 //
-// Popcount: the XOR-popcount family (Hamming distance, argmin scans, the
-// query-block tiles) exists in two flavors, expanded from
+// Popcount: the XOR-popcount family (the two query-block Hamming kernels
+// and their per-row helpers) exists in two flavors, expanded from
 // kernels_avx512_family.inc — a VPOPCNTDQ flavor using the native
 // _mm512_popcnt_epi64 (compiled in a #pragma GCC target region, so the
 // TU's base flags never include it), and an AVX-512BW nibble-LUT +
@@ -313,43 +313,6 @@ __m512i popcount512_lut(__m512i x) {
 // Table entries dispatch on the probed flavor. Both flavors compute exact
 // integer popcounts, so the choice is invisible to results — only to speed.
 
-std::uint64_t hamming_distance_words(const std::uint64_t* a, const std::uint64_t* b,
-                                     std::size_t n) {
-    return use_vpopcnt() ? hamming_distance_words_vpopcnt(a, b, n)
-                         : hamming_distance_words_lut(a, b, n);
-}
-
-std::size_t hamming_argmin(const std::uint64_t* query, const std::uint64_t* rows,
-                           std::size_t words, std::size_t n_rows,
-                           std::uint64_t* best_distance_out) {
-    return use_vpopcnt()
-               ? hamming_argmin_vpopcnt(query, rows, words, n_rows, best_distance_out)
-               : hamming_argmin_lut(query, rows, words, n_rows, best_distance_out);
-}
-
-argmin2_result hamming_argmin2_prefix(const std::uint64_t* query,
-                                      const std::uint64_t* rows,
-                                      std::size_t row_words, std::size_t prefix_words,
-                                      std::size_t n_rows) {
-    return use_vpopcnt() ? hamming_argmin2_prefix_vpopcnt(query, rows, row_words,
-                                                          prefix_words, n_rows)
-                         : hamming_argmin2_prefix_lut(query, rows, row_words,
-                                                      prefix_words, n_rows);
-}
-
-void hamming_extend_words(const std::uint64_t* query, const std::uint64_t* rows,
-                          std::size_t row_words, std::size_t from_word,
-                          std::size_t to_word, std::size_t n_rows,
-                          std::uint64_t* distances) {
-    if (use_vpopcnt()) {
-        hamming_extend_words_vpopcnt(query, rows, row_words, from_word, to_word,
-                                     n_rows, distances);
-    } else {
-        hamming_extend_words_lut(query, rows, row_words, from_word, to_word, n_rows,
-                                 distances);
-    }
-}
-
 void hamming_block_extend(const std::uint64_t* queries, std::size_t query_words,
                           std::size_t n_queries, const std::uint64_t* rows,
                           std::size_t row_words, std::size_t from_word,
@@ -436,9 +399,7 @@ constexpr kernel_table table{
     "avx512",          supported,
     geq_block_accumulate,
     geq_rematerialize_accumulate,
-    sign_binarize,     hamming_distance_words,
-    hamming_argmin,    hamming_argmin2_prefix,
-    hamming_extend_words,
+    sign_binarize,
     hamming_block_extend,
     hamming_block_argmin2_prefix,
     sum_squares_i32,   dot_i32,

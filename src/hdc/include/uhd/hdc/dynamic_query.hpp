@@ -1,8 +1,11 @@
-// Dynamic-dimension early-exit inference — the "Dynamic" half of uHD's
-// title as a first-class query path: a query is first answered from a
+// Dynamic-dimension early-exit inference: a query is first answered from a
 // D/8-bit prefix of every packed class row, and only escalates to D/4,
 // D/2, and finally the full D when the top-1/top-2 Hamming margin of the
 // truncated scan is too small to be trusted.
+//
+// The cascade is an extension of this repository, not a result of the
+// paper: the "dynamic" in uHD's title means hypervectors generated
+// dynamically during training, not a variable query dimension.
 //
 // The idea follows Schmuck et al.'s combinational associative memory
 // (Hamming search degrades gracefully under dimension truncation) and the
@@ -12,9 +15,9 @@
 // from held-out data for a target agreement rate with the full-D answer.
 //
 // Determinism: the cascade extends one running distance per class
-// incrementally (kernels::hamming_extend_words), so its full-D stage is
-// bit-identical to class_memory::nearest() — same word order, same
-// first-wins tie rule. Calibration is a deterministic function of the
+// incrementally (kernels::hamming_block_extend; a single query is a block
+// of one), so its full-D stage is bit-identical to class_memory::nearest()
+// — same exact integer distances, same first-wins tie rule. Calibration is a deterministic function of the
 // memory and the calibration queries (no RNG, no data-dependent float
 // accumulation order).
 #ifndef UHD_HDC_DYNAMIC_QUERY_HPP
@@ -137,11 +140,12 @@ public:
         return stages_.empty() ? 0 : stages_.back().window_words;
     }
 
-    /// Answer a packed query through the cascade: extend the per-class
-    /// distances stage by stage and stop at the first stage whose margin
-    /// clears its threshold (the final stage always answers). `query_words`
-    /// must hold mem.words_per_class() words with tail bits zero. When every
-    /// early stage is disabled — or the exit lands on the final stage — the
+    /// Answer a packed query through the cascade: answer_block() over a
+    /// block of one. The per-class distances are extended stage by stage
+    /// and the first stage whose margin clears its threshold answers (the
+    /// final stage always does). `query_words` must hold
+    /// mem.words_per_class() words with tail bits zero. When every early
+    /// stage is disabled — or the exit lands on the final stage — the
     /// result is bit-identical to mem.nearest(query_words).
     [[nodiscard]] std::size_t answer(const class_memory& mem,
                                      std::span<const std::uint64_t> query_words,
@@ -161,9 +165,9 @@ public:
     /// stage threshold are answered, and the survivors are compacted so the
     /// next stage streams each class row once for the whole remainder.
     /// out[q] — and, when `stats` is non-empty (it must then hold n_queries
-    /// slots), stats[q] — are bit-identical to answer(query q): the
-    /// per-query distances, margins, and exit decisions are untouched by
-    /// the blocking.
+    /// slots), stats[q] — do not depend on the block size: the per-query
+    /// distances, margins, and exit decisions are untouched by the
+    /// blocking.
     void answer_block(const class_memory& mem,
                       std::span<const std::uint64_t> queries_words,
                       std::size_t n_queries, std::span<std::size_t> out,

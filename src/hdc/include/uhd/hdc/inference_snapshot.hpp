@@ -105,23 +105,12 @@ public:
     [[nodiscard]] std::size_t predict_encoded(
         std::span<const std::int32_t> encoded) const;
 
-    /// Answer an already-packed binarized query (nearest packed row).
-    [[nodiscard]] std::size_t predict_packed(
-        std::span<const std::uint64_t> query_words,
-        std::uint64_t* distance_out = nullptr) const;
-
     /// Dynamic-dimension inference from an encoded accumulator: sign-
     /// binarize and answer through the early-exit cascade. Always answers
     /// from the packed memory regardless of mode(); the full-D stage is
     /// bit-identical to binarized-mode predict_encoded.
     [[nodiscard]] std::size_t predict_dynamic_encoded(
         std::span<const std::int32_t> encoded, const dynamic_query_policy& policy,
-        dynamic_query_stats* stats = nullptr) const;
-
-    /// Dynamic-dimension inference on an already-packed query.
-    [[nodiscard]] std::size_t predict_dynamic_packed(
-        std::span<const std::uint64_t> query_words,
-        const dynamic_query_policy& policy,
         dynamic_query_stats* stats = nullptr) const;
 
     // --- block read paths -------------------------------------------------

@@ -45,24 +45,12 @@ void inference_snapshot::store_class_values(std::size_t c,
 
 namespace {
 
-/// Sign-binarize an encoded query into per-thread packed scratch — the one
-/// binarize step shared by the full-scan and cascade read paths, so a
-/// packing change can never drift between them (their bit-identity is a
-/// tested contract). The scratch is thread_local: concurrent readers
-/// sharing one snapshot never share it.
-std::span<const std::uint64_t> binarize_query(
-    std::span<const std::int32_t> encoded) {
-    static thread_local std::vector<std::uint64_t> query_words;
-    query_words.resize(kernels::sign_words(encoded.size()));
-    kernels::sign_binarize(encoded.data(), encoded.size(), query_words.data());
-    return {query_words.data(), query_words.size()};
-}
-
-/// Sign-binarize a whole query block into per-thread packed scratch (one
-/// row of sign_words(dim) words per query, the same packing as
-/// binarize_query) — the block paths' shared binarize step. Distinct
-/// scratch from binarize_query so a block call never clobbers a
-/// single-query caller's words on the same thread.
+/// Sign-binarize a block of encoded queries into per-thread packed scratch
+/// (one row of sign_words(dim) words per query) — the one binarize step
+/// shared by every binarized read path, single queries included, so a
+/// packing change can never drift between the full-scan and cascade paths
+/// (their bit-identity is a tested contract). The scratch is thread_local:
+/// concurrent readers sharing one snapshot never share it.
 std::span<const std::uint64_t> binarize_block(
     std::span<const std::int32_t> encoded, std::size_t n_queries,
     std::size_t dim) {
@@ -101,25 +89,14 @@ std::size_t inference_snapshot::predict_encoded(
         }
         return best;
     }
-    return mem_.nearest(binarize_query(encoded));
-}
-
-std::size_t inference_snapshot::predict_packed(
-    std::span<const std::uint64_t> query_words, std::uint64_t* distance_out) const {
-    return mem_.nearest(query_words, distance_out);
+    return mem_.nearest(binarize_block(encoded, 1, dim()));
 }
 
 std::size_t inference_snapshot::predict_dynamic_encoded(
     std::span<const std::int32_t> encoded, const dynamic_query_policy& policy,
     dynamic_query_stats* stats) const {
     UHD_REQUIRE(encoded.size() == dim(), "encoded size mismatch");
-    return policy.answer(mem_, binarize_query(encoded), stats);
-}
-
-std::size_t inference_snapshot::predict_dynamic_packed(
-    std::span<const std::uint64_t> query_words, const dynamic_query_policy& policy,
-    dynamic_query_stats* stats) const {
-    return policy.answer(mem_, query_words, stats);
+    return policy.answer(mem_, binarize_block(encoded, 1, dim()), stats);
 }
 
 void inference_snapshot::predict_block(std::span<const std::int32_t> encoded,

@@ -6,12 +6,15 @@
 // micro-batch drain — with its single-query counterpart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "uhd/common/kernels.hpp"
+#include "uhd/common/simd.hpp"
 #include "uhd/common/thread_pool.hpp"
 #include "uhd/core/encoder.hpp"
 #include "uhd/data/synthetic.hpp"
@@ -52,10 +55,13 @@ std::uint64_t pair_distance(const std::uint64_t* a, const std::uint64_t* b,
 }
 
 // Ragged shapes: tails in every tile dimension (queries % 4, rows % 2,
-// words % the 256/512-bit steps) plus the degenerate 1-query/1-row cases.
-constexpr std::size_t kQueryCounts[] = {1, 3, 4, 5, 7, 8, 17};
-constexpr std::size_t kRowCounts[] = {1, 2, 3, 5};
-constexpr std::size_t kWordCounts[] = {1, 3, 8, 11, 19};
+// words % the 4-word AVX2 and 8-word AVX-512 steps) plus the degenerate
+// 1-query/1-row cases. A single query is a block of one, so n_queries = 1
+// here is the whole single-query search of every backend; 128 words is a
+// D = 8192 row.
+constexpr std::size_t kQueryCounts[] = {1, 2, 3, 4, 5, 7, 8, 17};
+constexpr std::size_t kRowCounts[] = {1, 2, 3, 5, 33};
+constexpr std::size_t kWordCounts[] = {1, 3, 7, 8, 9, 11, 19, 127, 128, 129};
 
 TEST(BlockKernels, BlockExtendMatchesPairOracleOnEveryAdmissibleBackend) {
     backend_reset reset;
@@ -77,6 +83,20 @@ TEST(BlockKernels, BlockExtendMatchesPairOracleOnEveryAdmissibleBackend) {
                     kernels::hamming_block_extend(queries.data(), words, n_queries,
                                                   rows.data(), words, mid, words,
                                                   n_rows, got.data());
+                    // One window that starts past word 0 and stops short of
+                    // the row end, against the pinned scalar reference.
+                    const std::size_t hi = words - words / 3;
+                    std::vector<std::uint64_t> window(n_queries * n_rows, 5);
+                    std::vector<std::uint64_t> want_window(n_queries * n_rows, 5);
+                    kernels::hamming_block_extend(queries.data(), words, n_queries,
+                                                  rows.data(), words, mid, hi,
+                                                  n_rows, window.data());
+                    simd::hamming_block_extend_reference(
+                        queries.data(), words, n_queries, rows.data(), words, mid,
+                        hi, n_rows, want_window.data());
+                    EXPECT_EQ(window, want_window)
+                        << "backend=" << backend->name << " n_queries=" << n_queries
+                        << " n_rows=" << n_rows << " words=" << words;
                     for (std::size_t q = 0; q < n_queries; ++q) {
                         for (std::size_t r = 0; r < n_rows; ++r) {
                             EXPECT_EQ(got[q * n_rows + r],
@@ -93,7 +113,7 @@ TEST(BlockKernels, BlockExtendMatchesPairOracleOnEveryAdmissibleBackend) {
     }
 }
 
-TEST(BlockKernels, BlockArgmin2MatchesSingleQueryOnEveryAdmissibleBackend) {
+TEST(BlockKernels, BlockArgmin2MatchesReferenceAndSingleQueryOnEveryAdmissibleBackend) {
     backend_reset reset;
     for (const kernels::kernel_table* backend : kernels::admissible_backends()) {
         kernels::force_backend(backend->name);
@@ -106,20 +126,39 @@ TEST(BlockKernels, BlockArgmin2MatchesSingleQueryOnEveryAdmissibleBackend) {
                     for (const std::size_t prefix :
                          {std::size_t{1}, (words + 1) / 2, words}) {
                         const auto queries = random_words(n_queries * words, ++seed);
-                        const auto rows = random_words(n_rows * words, ++seed);
+                        auto rows = random_words(n_rows * words, ++seed);
+                        // Every other case repeats row 0 as the last row, so
+                        // distance ties reach the argmin2 update.
+                        if (n_rows > 1 && seed % 4 == 0) {
+                            std::copy_n(rows.begin(), words,
+                                        rows.end() - static_cast<std::ptrdiff_t>(words));
+                        }
                         std::vector<kernels::argmin2_result> got(n_queries);
                         kernels::hamming_block_argmin2_prefix(
                             queries.data(), words, n_queries, rows.data(), words,
                             prefix, n_rows, got.data());
+                        std::vector<kernels::argmin2_result> want(n_queries);
+                        simd::hamming_block_argmin2_prefix_reference(
+                            queries.data(), words, n_queries, rows.data(), words,
+                            prefix, n_rows, want.data());
                         for (std::size_t q = 0; q < n_queries; ++q) {
-                            const kernels::argmin2_result want =
-                                kernels::hamming_argmin2_prefix(
-                                    queries.data() + q * words, rows.data(), words,
-                                    prefix, n_rows);
-                            EXPECT_EQ(got[q].index, want.index)
-                                << "backend=" << backend->name << " q=" << q;
-                            EXPECT_EQ(got[q].distance, want.distance);
-                            EXPECT_EQ(got[q].runner_up, want.runner_up);
+                            // The same query alone (block of one) takes the
+                            // backend's query-tail path, not the 4-query tile.
+                            kernels::argmin2_result single{};
+                            kernels::hamming_block_argmin2_prefix(
+                                queries.data() + q * words, words, 1, rows.data(),
+                                words, prefix, n_rows, &single);
+                            for (const kernels::argmin2_result& r : {got[q], single}) {
+                                EXPECT_EQ(r.index, want[q].index)
+                                    << "backend=" << backend->name << " q=" << q
+                                    << " n_rows=" << n_rows << " words=" << words
+                                    << " prefix=" << prefix;
+                                EXPECT_EQ(r.distance, want[q].distance);
+                                EXPECT_EQ(r.runner_up, want[q].runner_up);
+                            }
+                            if (n_rows == 1) {
+                                EXPECT_EQ(got[q].runner_up, ~std::uint64_t{0});
+                            }
                         }
                     }
                 }
@@ -128,26 +167,47 @@ TEST(BlockKernels, BlockArgmin2MatchesSingleQueryOnEveryAdmissibleBackend) {
     }
 }
 
-TEST(BlockKernels, TiedRowsResolveFirstWinsLikeTheSingleQueryPath) {
+TEST(BlockKernels, TiedRowsResolveFirstWinsForEveryQueryTail) {
     backend_reset reset;
-    // All-identical rows: every distance ties, so index must be 0 and the
-    // runner-up must equal the winner for every backend and query slot.
-    const std::size_t words = 9, n_rows = 5, n_queries = 6;
-    const auto query_block = random_words(n_queries * words, 42);
-    std::vector<std::uint64_t> rows(n_rows * words);
-    const auto one_row = random_words(words, 43);
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        std::copy(one_row.begin(), one_row.end(), rows.begin() + r * words);
-    }
     for (const kernels::kernel_table* backend : kernels::admissible_backends()) {
         kernels::force_backend(backend->name);
-        std::vector<kernels::argmin2_result> got(n_queries);
-        kernels::hamming_block_argmin2_prefix(query_block.data(), words, n_queries,
-                                              rows.data(), words, words, n_rows,
-                                              got.data());
-        for (std::size_t q = 0; q < n_queries; ++q) {
-            EXPECT_EQ(got[q].index, 0u) << "backend=" << backend->name;
-            EXPECT_EQ(got[q].runner_up, got[q].distance);
+        for (const std::size_t n_queries : {1u, 2u, 3u, 4u, 5u, 6u}) {
+            for (const std::size_t n_rows : {1u, 2u, 3u, 33u}) {
+                for (const std::size_t words : {1u, 9u, 129u}) {
+                    const auto query_block = random_words(n_queries * words, 42);
+                    // All-identical rows: every distance ties, so index must
+                    // be 0 and the runner-up must equal the winner (all-ones
+                    // for a single-row memory).
+                    std::vector<std::uint64_t> rows(n_rows * words);
+                    const auto one_row = random_words(words, 43);
+                    for (std::size_t r = 0; r < n_rows; ++r) {
+                        std::copy(one_row.begin(), one_row.end(),
+                                  rows.begin() + static_cast<std::ptrdiff_t>(r * words));
+                    }
+                    std::vector<kernels::argmin2_result> got(n_queries);
+                    kernels::hamming_block_argmin2_prefix(
+                        query_block.data(), words, n_queries, rows.data(), words,
+                        words, n_rows, got.data());
+                    for (std::size_t q = 0; q < n_queries; ++q) {
+                        EXPECT_EQ(got[q].index, 0u) << "backend=" << backend->name;
+                        EXPECT_EQ(got[q].runner_up,
+                                  n_rows == 1 ? ~std::uint64_t{0} : got[q].distance);
+                    }
+                    if (n_rows < 3) continue;
+                    // The exact match of query 0 stored at rows 1 and
+                    // n_rows - 1: the lower index wins at distance 0.
+                    std::copy_n(query_block.begin(), words,
+                                rows.begin() + static_cast<std::ptrdiff_t>(words));
+                    std::copy_n(query_block.begin(), words,
+                                rows.end() - static_cast<std::ptrdiff_t>(words));
+                    kernels::hamming_block_argmin2_prefix(
+                        query_block.data(), words, n_queries, rows.data(), words,
+                        words, n_rows, got.data());
+                    EXPECT_EQ(got[0].index, 1u) << "backend=" << backend->name;
+                    EXPECT_EQ(got[0].distance, 0u);
+                    EXPECT_EQ(got[0].runner_up, 0u);
+                }
+            }
         }
     }
 }

@@ -1,7 +1,9 @@
 // Tests for the dynamic-dimension query path: prefix-window associative
-// search (class_memory::nearest_prefix vs the pinned scalar oracle and vs
-// the full scan), the early-exit cascade's full-D fallback bit-identity
-// with predict_encoded, calibration determinism, and stats accounting.
+// search (the block kernels at n_queries = 1 vs the pinned scalar oracle,
+// incremental extension vs a fresh prefix scan), the early-exit cascade's
+// full-D fallback bit-identity with predict_encoded, calibration
+// determinism, stats accounting, and argument validation of the block
+// entry points every single query now goes through.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -30,6 +32,18 @@ class_memory random_memory(std::size_t classes, std::size_t dim, xoshiro256ss& r
     return mem;
 }
 
+/// Argmin + runner-up of one packed query over the first `window` words of
+/// every row: the dispatched block kernel at n_queries = 1.
+kernels::argmin2_result prefix_scan(const class_memory& mem,
+                                    std::span<const std::uint64_t> query,
+                                    std::size_t window) {
+    kernels::argmin2_result r{};
+    kernels::hamming_block_argmin2_prefix(query.data(), query.size(), 1,
+                                          mem.rows().data(), mem.words_per_class(),
+                                          window, mem.classes(), &r);
+    return r;
+}
+
 TEST(DynamicQuery, PrefixKernelMatchesPinnedReference) {
     xoshiro256ss rng(101);
     for (const std::size_t dim : {64u, 200u, 1024u, 4096u}) {
@@ -39,32 +53,15 @@ TEST(DynamicQuery, PrefixKernelMatchesPinnedReference) {
             const auto words = query.bits().words();
             for (std::size_t window = 1; window <= mem.words_per_class();
                  window += (window < 4 ? 1 : 3)) {
-                const auto fast = kernels::hamming_argmin2_prefix(
-                    words.data(), mem.rows().data(), mem.words_per_class(), window,
-                    classes);
-                const auto ref = simd::hamming_argmin2_prefix_reference(
-                    words.data(), mem.rows().data(), mem.words_per_class(), window,
-                    classes);
+                const auto fast = prefix_scan(mem, words, window);
+                kernels::argmin2_result ref{};
+                simd::hamming_block_argmin2_prefix_reference(
+                    words.data(), words.size(), 1, mem.rows().data(),
+                    mem.words_per_class(), window, classes, &ref);
                 ASSERT_EQ(fast.index, ref.index);
                 ASSERT_EQ(fast.distance, ref.distance);
                 ASSERT_EQ(fast.runner_up, ref.runner_up);
             }
-        }
-    }
-}
-
-TEST(DynamicQuery, FullWindowPrefixEqualsNearest) {
-    xoshiro256ss rng(202);
-    for (const std::size_t dim : {64u, 130u, 1024u}) {
-        const class_memory mem = random_memory(10, dim, rng);
-        for (int q = 0; q < 20; ++q) {
-            const hypervector query = random_hv(dim, rng);
-            std::uint64_t full_distance = 0;
-            const std::size_t nearest = mem.nearest(query, &full_distance);
-            const auto prefix = mem.nearest_prefix(query.bits().words(),
-                                                   mem.words_per_class());
-            EXPECT_EQ(prefix.index, nearest);
-            EXPECT_EQ(prefix.distance, full_distance);
         }
     }
 }
@@ -81,36 +78,63 @@ TEST(DynamicQuery, ExtendKernelMatchesFreshPrefixScan) {
     std::vector<std::uint64_t> running(classes, 0);
     std::size_t from = 0;
     for (const std::size_t to : {words / 8, words / 4, words / 2, words}) {
-        kernels::hamming_extend_words(qwords.data(), mem.rows().data(), words, from, to,
-                                   classes, running.data());
+        kernels::hamming_block_extend(qwords.data(), words, 1, mem.rows().data(),
+                                      words, from, to, classes, running.data());
         from = to;
-        const auto fresh = mem.nearest_prefix(qwords, to);
+        const auto fresh = prefix_scan(mem, qwords, to);
         const auto incremental = kernels::argmin2_u64(running.data(), classes);
         EXPECT_EQ(incremental.index, fresh.index);
         EXPECT_EQ(incremental.distance, fresh.distance);
-        EXPECT_EQ(incremental.runner_up - incremental.distance, fresh.margin);
+        EXPECT_EQ(incremental.runner_up, fresh.runner_up);
     }
 }
 
 TEST(DynamicQuery, SingleRowMemoryHasSaturatedMargin) {
+    // One row has no runner-up: the kernel reports an all-ones runner-up,
+    // the margin saturates, and calibration must turn that into "always
+    // exit at the first stage", never into a disabled stage.
     xoshiro256ss rng(404);
-    const class_memory mem = random_memory(1, 256, rng);
-    const hypervector query = random_hv(256, rng);
-    const auto r = mem.nearest_prefix(query.bits().words(), 2);
+    const class_memory mem = random_memory(1, 2048, rng);
+    const hypervector query = random_hv(2048, rng);
+    const auto r = prefix_scan(mem, query.bits().words(), 2);
     EXPECT_EQ(r.index, 0u);
-    EXPECT_EQ(r.margin, ~std::uint64_t{0});
+    EXPECT_EQ(r.runner_up, ~std::uint64_t{0});
+
+    std::vector<std::uint64_t> calib;
+    for (int i = 0; i < 4; ++i) {
+        const hypervector hv = random_hv(2048, rng);
+        calib.insert(calib.end(), hv.bits().words().begin(), hv.bits().words().end());
+    }
+    const auto policy = dynamic_query_policy::calibrate(mem, calib, 4, 0.99);
+    ASSERT_GE(policy.stages().size(), 2u);
+    EXPECT_EQ(policy.stages()[0].margin_threshold,
+              dynamic_query_policy::disabled_threshold - 1);
+    dynamic_query_stats stats;
+    EXPECT_EQ(policy.answer(mem, query.bits().words(), &stats), 0u);
+    EXPECT_EQ(stats.exit_stage, 0u);
 }
 
-TEST(DynamicQuery, NearestPrefixValidatesArguments) {
+TEST(DynamicQuery, BlockEntryPointsValidateArguments) {
+    // Every single query is a block of one, so the geometry checks of the
+    // block entry points are the ones a malformed single query hits.
     xoshiro256ss rng(505);
     const class_memory mem = random_memory(4, 256, rng);
     const hypervector query = random_hv(256, rng);
-    EXPECT_THROW((void)mem.nearest_prefix(query.bits().words(), 0), uhd::error);
-    EXPECT_THROW((void)mem.nearest_prefix(query.bits().words(),
-                                          mem.words_per_class() + 1),
-                 uhd::error);
+    const auto words = query.bits().words();
     const std::vector<std::uint64_t> short_query(1, 0);
-    EXPECT_THROW((void)mem.nearest_prefix(short_query, 2), uhd::error);
+    EXPECT_THROW((void)mem.nearest(short_query), uhd::error);
+    std::vector<std::size_t> out(2);
+    EXPECT_THROW(mem.nearest_block(words, 1, out), uhd::error); // out size
+    EXPECT_THROW(mem.nearest_block(words, 2, out), uhd::error); // word count
+    EXPECT_THROW((void)class_memory{}.nearest(words), uhd::error); // empty
+
+    const auto policy = dynamic_query_policy::ladder(mem);
+    EXPECT_THROW((void)policy.answer(mem, short_query), uhd::error);
+    EXPECT_THROW(policy.answer_block(mem, words, 1, out), uhd::error);
+    std::vector<std::size_t> one(1);
+    std::vector<dynamic_query_stats> stats(2);
+    EXPECT_THROW(policy.answer_block(mem, words, 1, one, stats), uhd::error);
+    EXPECT_NO_THROW(policy.answer_block(mem, words, 1, one));
 }
 
 TEST(DynamicQuery, LadderShapeAndFullScanPolicy) {
@@ -219,9 +243,9 @@ TEST(DynamicQuery, CalibrationHitsTargetAgreementOnCalibrationSet) {
         for (std::size_t i = 0; i < calib.size(); ++i) {
             enc.encode(calib.image(i), encoded);
             kernels::sign_binarize(encoded.data(), encoded.size(), words.data());
-            const auto r = clf.packed_class_memory().nearest_prefix(
-                words, stage.window_words);
-            if (r.margin < stage.margin_threshold) continue;
+            const auto r =
+                prefix_scan(clf.packed_class_memory(), words, stage.window_words);
+            if (r.runner_up - r.distance < stage.margin_threshold) continue;
             ++kept;
             if (r.index == clf.packed_class_memory().nearest(words)) ++agree;
         }

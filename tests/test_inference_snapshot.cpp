@@ -101,7 +101,9 @@ TEST(InferenceSnapshot, PolicySnapshotOverloadsMatchClassMemoryOnes) {
     kernels::sign_binarize(encoded.data(), encoded.size(), words.data());
     const dynamic_query_policy full = dynamic_query_policy::full_scan(snap);
     EXPECT_EQ(full.answer(snap, words), full.answer(snap.memory(), words));
-    EXPECT_EQ(snap.predict_packed(words), snap.memory().nearest(words));
+    std::vector<std::size_t> packed_answer(1);
+    snap.predict_packed_block(words, 1, packed_answer);
+    EXPECT_EQ(packed_answer[0], snap.memory().nearest(words));
 }
 
 TEST(InferenceSnapshot, CopyIsIndependentOfContinuedTraining) {
@@ -282,7 +284,8 @@ TEST(InferenceSnapshot, RejectsMismatchedQueries) {
     const std::vector<std::int32_t> wrong(128, 0);
     EXPECT_THROW((void)snap.predict_encoded(wrong), uhd::error);
     const std::vector<std::uint64_t> wrong_words(1, 0);
-    EXPECT_THROW((void)snap.predict_packed(wrong_words), uhd::error);
+    std::vector<std::size_t> out(1);
+    EXPECT_THROW(snap.predict_packed_block(wrong_words, 1, out), uhd::error);
 }
 
 } // namespace

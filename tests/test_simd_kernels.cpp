@@ -1,6 +1,7 @@
 // Equivalence tests for the word-parallel engine: every kernel of every
 // admissible backend in the uhd::kernels registry against its pinned
-// scalar reference, the optimized encoder paths against the scalar oracle
+// scalar reference (the Hamming block kernels in test_block_kernels.cpp),
+// the optimized encoder paths against the scalar oracle
 // over randomized images x configurations, batch encoding against
 // per-image encoding, and thread-count determinism of the batch
 // classifier APIs.
@@ -182,8 +183,9 @@ TEST(SimdKernels, TileFlushAddsIntoAccumulator) {
 }
 
 TEST(SimdKernels, XorPopcountReductionMatchesNaive) {
-    // The one surviving popcount reduction in simd.hpp (the Hamming kernel
-    // the packed-row scans build on); the dispatched form must agree too.
+    // The one popcount reduction in simd.hpp: the per-row Hamming distance
+    // the portable block kernels reduce their ragged edges with. The
+    // per-backend Hamming kernels are covered in test_block_kernels.cpp.
     xoshiro256ss rng(44);
     for (int trial = 0; trial < 50; ++trial) {
         const std::size_t n = 1 + rng.next() % 9;
@@ -196,7 +198,6 @@ TEST(SimdKernels, XorPopcountReductionMatchesNaive) {
             xor_pop += std::popcount(a[i] ^ b[i]);
         }
         EXPECT_EQ(simd::xor_popcount_words(a.data(), b.data(), n), xor_pop);
-        EXPECT_EQ(kernels::hamming_distance_words(a.data(), b.data(), n), xor_pop);
     }
 }
 
@@ -246,83 +247,6 @@ TEST(SimdKernels, SignBinarizeExtremeValues) {
         std::vector<std::uint64_t> got(1);
         backend->sign_binarize(values.data(), values.size(), got.data());
         EXPECT_EQ(reference, got) << "backend=" << backend->name;
-    }
-}
-
-TEST(SimdKernels, HammingDistanceEveryBackendMatchesScalar) {
-    xoshiro256ss rng(99);
-    for (int trial = 0; trial < 100; ++trial) {
-        const std::size_t n = 1 + rng.next() % 40; // crosses the 4-word AVX2 step
-        std::vector<std::uint64_t> a(n);
-        std::vector<std::uint64_t> b(n);
-        for (auto& w : a) w = rng.next();
-        for (auto& w : b) w = rng.next();
-        const std::uint64_t expected = simd::xor_popcount_words(a.data(), b.data(), n);
-        for (const kernels::kernel_table* backend : admissible_backends()) {
-            EXPECT_EQ(backend->hamming_distance_words(a.data(), b.data(), n), expected)
-                << "backend=" << backend->name;
-        }
-        EXPECT_EQ(kernels::hamming_distance_words(a.data(), b.data(), n), expected);
-    }
-}
-
-TEST(SimdKernels, HammingArgminEveryBackendMatchesReference) {
-    xoshiro256ss rng(111);
-    for (int trial = 0; trial < 150; ++trial) {
-        const std::size_t words = 1 + rng.next() % 20;
-        const std::size_t rows = 1 + rng.next() % 16;
-        std::vector<std::uint64_t> memory(words * rows);
-        std::vector<std::uint64_t> query(words);
-        for (auto& w : memory) w = rng.next();
-        for (auto& w : query) w = rng.next();
-        // Duplicate a row occasionally so distance ties occur.
-        if (rows > 1 && trial % 3 == 0) {
-            std::copy(memory.begin(), memory.begin() + static_cast<std::ptrdiff_t>(words),
-                      memory.begin() + static_cast<std::ptrdiff_t>((rows - 1) * words));
-        }
-        std::uint64_t ref_distance = 0;
-        const std::size_t ref = simd::hamming_argmin_reference(
-            query.data(), memory.data(), words, rows, &ref_distance);
-        for (const kernels::kernel_table* backend : admissible_backends()) {
-            std::uint64_t distance = 0;
-            const std::size_t got = backend->hamming_argmin(
-                query.data(), memory.data(), words, rows, &distance);
-            EXPECT_EQ(got, ref) << "backend=" << backend->name;
-            EXPECT_EQ(distance, ref_distance) << "backend=" << backend->name;
-        }
-    }
-}
-
-TEST(SimdKernels, PrefixArgminAndExtendEveryBackendMatchReference) {
-    xoshiro256ss rng(131);
-    for (int trial = 0; trial < 60; ++trial) {
-        const std::size_t row_words = 2 + rng.next() % 24;
-        const std::size_t prefix = 1 + rng.next() % row_words;
-        const std::size_t rows = 1 + rng.next() % 12;
-        std::vector<std::uint64_t> memory(row_words * rows);
-        std::vector<std::uint64_t> query(row_words);
-        for (auto& w : memory) w = rng.next();
-        for (auto& w : query) w = rng.next();
-
-        const auto ref = simd::hamming_argmin2_prefix_reference(
-            query.data(), memory.data(), row_words, prefix, rows);
-        std::vector<std::uint64_t> ref_extended(rows, 5); // += semantics
-        simd::hamming_extend_words_reference(query.data(), memory.data(), row_words,
-                                             prefix / 2, prefix, rows,
-                                             ref_extended.data());
-
-        for (const kernels::kernel_table* backend : admissible_backends()) {
-            const auto got = backend->hamming_argmin2_prefix(
-                query.data(), memory.data(), row_words, prefix, rows);
-            EXPECT_EQ(got.index, ref.index) << "backend=" << backend->name;
-            EXPECT_EQ(got.distance, ref.distance) << "backend=" << backend->name;
-            EXPECT_EQ(got.runner_up, ref.runner_up) << "backend=" << backend->name;
-
-            std::vector<std::uint64_t> extended(rows, 5);
-            backend->hamming_extend_words(query.data(), memory.data(), row_words,
-                                          prefix / 2, prefix, rows, extended.data());
-            EXPECT_EQ(extended, ref_extended) << "backend=" << backend->name;
-        }
     }
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -123,7 +124,16 @@ TEST(WireReactors, ShardStatsSumExactlyToAggregatedTotals) {
         });
     }
     for (auto& t : threads) t.join();
-    // stop() first: it freezes the shards (and loop_cpu_ns stops
+    // The clients have closed their sockets, but a reactor only retires a
+    // connection once it reads the EOF. Wait (bounded) for every shard to
+    // get there, so stop() does not freeze a connection still counted
+    // active.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (fx.server->stats().connections_active != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // stop() next: it freezes the shards (and loop_cpu_ns stops
     // ticking), and the counters must survive it for exactly this kind
     // of post-run reading.
     fx.server->stop();
