@@ -11,6 +11,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "uhd/common/error.hpp"
+
 namespace uhd::io {
 
 /// Write a 32-bit magic + version header.
@@ -41,9 +43,11 @@ void write_pod_span(std::ostream& os, std::span<const T> v);
 template <typename T>
 void write_pod_vector(std::ostream& os, const std::vector<T>& v);
 
-/// Read a vector of trivially-copyable elements written by write_pod_vector.
+/// Read a vector of trivially-copyable elements written by write_pod_vector
+/// whose length must be `expected`: a stream claiming any other length
+/// fails before anything is allocated.
 template <typename T>
-std::vector<T> read_pod_vector(std::istream& is);
+std::vector<T> read_pod_vector(std::istream& is, std::size_t expected);
 
 // --- implementation of templates -----------------------------------------
 
@@ -63,9 +67,10 @@ void write_pod_vector(std::ostream& os, const std::vector<T>& v) {
 }
 
 template <typename T>
-std::vector<T> read_pod_vector(std::istream& is) {
+std::vector<T> read_pod_vector(std::istream& is, std::size_t expected) {
     static_assert(std::is_trivially_copyable_v<T>, "POD serialization only");
     const std::uint64_t n = read_u64(is);
+    UHD_REQUIRE(n == expected, "serialized vector length mismatch");
     std::vector<T> v(static_cast<std::size_t>(n));
     if (n != 0) read_bytes(is, v.data(), v.size() * sizeof(T));
     return v;

@@ -100,9 +100,14 @@ struct kernel_table {
     /// panels[bank_panel_offset(npix, dim, p, d)]. `max_value` upper-bounds
     /// q and every threshold (backends whose wide path has a value
     /// precondition fall back internally when it is exceeded). Wide
-    /// backends register-block several images x one panel slice, so each
-    /// threshold is loaded once per image block instead of once per image;
-    /// the counts are exact integers, so every blocking is bit-identical.
+    /// backends stream one panel at a time for every image of the call.
+    /// With max_value <= 15 the avx2/avx512 tables answer groups of eight
+    /// images with one byte shuffle per pixel through a 16-entry unary
+    /// table (bit i of entry t: q_i >= t) and count the bit-lanes with a
+    /// carry-save tree; calls or trailing images below a per-backend
+    /// crossover, and larger max_value, take register tiles of up to four
+    /// images x one panel slice, one byte compare per image. The counts
+    /// are exact integers, so every path is bit-identical.
     void (*geq_block_accumulate)(const std::uint8_t* q, std::size_t npix,
                                  std::size_t n_images, const std::uint8_t* panels,
                                  std::size_t dim, std::int32_t* out,

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "kernels_detail.hpp"
+#include "uhd/common/aligned.hpp"
 #include "uhd/common/error.hpp"
 
 namespace uhd::kernels {
@@ -132,5 +133,11 @@ void force_backend(std::string_view request) {
 }
 
 std::string_view backend_override() noexcept { return env_backend(); }
+
+std::uint8_t* detail::thread_scratch(std::size_t bytes) {
+    thread_local cache_aligned_vector<std::uint8_t> buffer;
+    if (buffer.size() < bytes) buffer.resize(bytes);
+    return buffer.data();
+}
 
 } // namespace uhd::kernels

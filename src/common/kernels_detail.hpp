@@ -4,9 +4,19 @@
 #ifndef UHD_COMMON_KERNELS_DETAIL_HPP
 #define UHD_COMMON_KERNELS_DETAIL_HPP
 
+#include <cstddef>
+#include <cstdint>
+
 #include "uhd/common/kernels.hpp"
 
 namespace uhd::kernels::detail {
+
+/// Per-thread, 64-byte aligned scratch of at least `bytes` bytes, grown on
+/// demand and reused across calls (the pointer is valid until the calling
+/// thread's next request). Defined in kernels.cpp, which is compiled
+/// without wide-ISA flags, so the per-ISA TUs get a buffer without
+/// instantiating a container template under -mavx*.
+[[nodiscard]] std::uint8_t* thread_scratch(std::size_t bytes);
 
 /// Pinned byte-at-a-time oracle backend (the permanent reference).
 [[nodiscard]] const kernel_table& scalar_table() noexcept;

@@ -10,12 +10,22 @@
 #include "uhd/common/simd.hpp" // pinned-scalar oracle kernels (encode_scalar)
 
 namespace uhd::core {
+namespace {
+
+/// The unary stream table and the quantizer are sized by quant_levels, so
+/// it is checked before the member initializers allocate anything.
+unsigned checked_levels(unsigned levels) {
+    UHD_REQUIRE(levels >= 2 && levels <= 256, "quantization levels must be in [2, 256]");
+    return levels;
+}
+
+} // namespace
 
 uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape)
     : config_(config),
       shape_(shape),
       directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)),
-      ust_(config.quant_levels, config.stream_length()) {
+      ust_(checked_levels(config.quant_levels), config.stream_length()) {
     UHD_REQUIRE(config.dim >= 64, "dimension too small to be hyperdimensional");
     UHD_REQUIRE(shape.channels == 1, "uHD encoder expects grayscale images");
 
@@ -50,7 +60,7 @@ uhd_encoder::uhd_encoder(const uhd_config& config, data::image_shape shape,
     : config_(config),
       shape_(shape),
       directions_(ld::sobol_directions::standard(shape.pixels(), config.sobol_seed)),
-      ust_(config.quant_levels, config.stream_length()) {
+      ust_(checked_levels(config.quant_levels), config.stream_length()) {
     UHD_REQUIRE(config.bank == bank_mode::stored,
                 "a custom threshold bank has no generator to rematerialize from");
     UHD_REQUIRE(config.dim >= 64, "dimension too small to be hyperdimensional");

@@ -19,10 +19,13 @@ constexpr std::uint32_t model_version = 2;
 // Geometry bounds shared by construction and load: every model the library
 // can build passes them (so save/load round-trips by construction), and a
 // corrupt stream trips them before any allocation sized from its fields.
-void validate_geometry(std::size_t dim, data::image_shape shape,
+void validate_geometry(std::size_t dim, unsigned quant_levels, data::image_shape shape,
                        std::size_t classes) {
     UHD_REQUIRE(dim >= 1 && dim <= (std::size_t{1} << 30),
                 "model dimension out of range");
+    // The encoder sizes its unary stream table and quantizer from this.
+    UHD_REQUIRE(quant_levels >= 2 && quant_levels <= 256,
+                "model quantization levels out of range");
     // Per-field bounds first: pixels() is a product that could wrap modulo
     // 2^64 for absurd individual fields. 2^20 each keeps it exact.
     for (const std::size_t field : {shape.rows, shape.cols, shape.channels}) {
@@ -45,7 +48,8 @@ void validate_geometry(std::size_t dim, data::image_shape shape,
 uhd_model::uhd_model(const uhd_config& config, data::image_shape shape,
                      std::size_t classes, hdc::train_mode mode,
                      hdc::query_mode inference)
-    : encoder_((validate_geometry(config.dim, shape, classes), config), shape),
+    : encoder_((validate_geometry(config.dim, config.quant_levels, shape, classes), config),
+               shape),
       classifier_(encoder_, classes, mode, inference) {}
 
 uhd_model::uhd_model(const uhd_model& other)
@@ -175,7 +179,7 @@ uhd_model uhd_model::load(std::istream& is) {
     // Same bounds the constructor enforces: a corrupt stream must fail
     // cleanly here rather than drive a multi-gigabyte bank/accumulator
     // allocation below.
-    validate_geometry(cfg.dim, shape, classes);
+    validate_geometry(cfg.dim, cfg.quant_levels, shape, classes);
     const hdc::train_mode mode = io::read_u32(is) == 1u ? hdc::train_mode::raw_sums
                                                         : hdc::train_mode::binarized_images;
     const hdc::query_mode inference = io::read_u32(is) == 1u ? hdc::query_mode::integer
@@ -187,8 +191,7 @@ uhd_model uhd_model::load(std::istream& is) {
     std::vector<hdc::accumulator> accumulators;
     accumulators.reserve(classes);
     for (std::size_t c = 0; c < classes; ++c) {
-        const auto values = io::read_pod_vector<std::int32_t>(is);
-        UHD_REQUIRE(values.size() == cfg.dim, "model file accumulator size mismatch");
+        const auto values = io::read_pod_vector<std::int32_t>(is, cfg.dim);
         hdc::accumulator acc(cfg.dim);
         for (std::size_t d = 0; d < values.size(); ++d) acc.values()[d] = values[d];
         accumulators.push_back(std::move(acc));

@@ -210,7 +210,16 @@ TEST(Io, PodVectorRoundTrip) {
     std::stringstream ss;
     std::vector<std::int32_t> v = {1, -2, 3, 2000000000};
     io::write_pod_vector(ss, v);
-    EXPECT_EQ(io::read_pod_vector<std::int32_t>(ss), v);
+    EXPECT_EQ(io::read_pod_vector<std::int32_t>(ss, v.size()), v);
+}
+
+TEST(Io, PodVectorLengthMismatchThrowsBeforeAllocating) {
+    std::stringstream ss;
+    io::write_u64(ss, std::uint64_t{1} << 40); // claims a 4 TiB payload
+    EXPECT_THROW((void)io::read_pod_vector<std::int32_t>(ss, 4), uhd::error);
+    std::stringstream short_one;
+    io::write_pod_vector(short_one, std::vector<std::int32_t>{1, 2, 3});
+    EXPECT_THROW((void)io::read_pod_vector<std::int32_t>(short_one, 4), uhd::error);
 }
 
 TEST(Io, TruncatedReadThrows) {

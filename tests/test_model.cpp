@@ -98,6 +98,52 @@ TEST(Model, LoadRejectsImplausibleHeaderFields) {
     EXPECT_THROW((void)uhd_model::load(corrupt), uhd::error);
 }
 
+TEST(Model, LoadRejectsOutOfRangeQuantizationLevels) {
+    // quant_levels sizes the encoder's unary stream table: an absurd value
+    // must be an error, not a multi-gigabyte allocation or bad_alloc.
+    const auto train = data::make_synthetic_digits(40, 36);
+    const uhd_model model = uhd_model::train(small_config(), train);
+    std::stringstream buffer;
+    model.save(buffer);
+    const std::string bytes = buffer.str();
+    // Offset 16 is cfg.quant_levels (u32, after the header and cfg.dim).
+    ASSERT_EQ(bytes.substr(16, 4), std::string("\x10\0\0\0", 4));
+    for (const std::uint32_t levels : {0u, 1u, 257u, 100000u, 0xFFFFFFFFu}) {
+        std::string patched = bytes;
+        for (std::size_t i = 0; i < 4; ++i) {
+            patched[16 + i] = static_cast<char>((levels >> (8 * i)) & 0xFFu);
+        }
+        std::stringstream corrupt(patched);
+        EXPECT_THROW((void)uhd_model::load(corrupt), uhd::error) << "levels=" << levels;
+    }
+    // The same range holds at construction.
+    for (const unsigned levels : {1u, 257u}) {
+        uhd_config cfg = small_config();
+        cfg.quant_levels = levels;
+        EXPECT_THROW((void)uhd_model(cfg, train.shape(), 10), uhd::error)
+            << "levels=" << levels;
+        EXPECT_THROW((void)core::uhd_encoder(cfg, train.shape()), uhd::error)
+            << "levels=" << levels;
+    }
+}
+
+TEST(Model, LoadRejectsImplausibleAccumulatorLength) {
+    // Offset 72 is the first class accumulator's u64 length prefix; a
+    // length of 2^40 must fail fast with uhd::error, not bad_alloc.
+    const auto train = data::make_synthetic_digits(40, 37);
+    const uhd_model model = uhd_model::train(small_config(), train);
+    std::stringstream buffer;
+    model.save(buffer);
+    std::string bytes = buffer.str();
+    ASSERT_EQ(bytes.substr(72, 8), std::string("\0\x01\0\0\0\0\0\0", 8)); // dim 256
+    const std::uint64_t claimed = std::uint64_t{1} << 40;
+    for (std::size_t i = 0; i < 8; ++i) {
+        bytes[72 + i] = static_cast<char>((claimed >> (8 * i)) & 0xFFu);
+    }
+    std::stringstream corrupt(bytes);
+    EXPECT_THROW((void)uhd_model::load(corrupt), uhd::error);
+}
+
 TEST(Model, SaveFileReportsWriteFailure) {
     // /dev/full accepts the open but fails every flush with ENOSPC — the
     // exact silent-truncation case save_file must surface.

@@ -70,11 +70,14 @@ TEST(SimdKernels, GeqMaskSwarMatchesByteCompare) {
 void naive_panel_accumulate(const std::vector<std::uint8_t>& q, std::size_t npix,
                             std::size_t n_images, const std::vector<std::uint8_t>& panels,
                             std::size_t dim, std::int32_t* out) {
-    for (std::size_t i = 0; i < n_images; ++i) {
-        for (std::size_t p = 0; p < npix; ++p) {
+    std::vector<std::uint8_t> row(dim);
+    for (std::size_t p = 0; p < npix; ++p) {
+        for (std::size_t d = 0; d < dim; ++d) {
+            row[d] = panels[kernels::bank_panel_offset(npix, dim, p, d)];
+        }
+        for (std::size_t i = 0; i < n_images; ++i) {
             for (std::size_t d = 0; d < dim; ++d) {
-                const std::uint8_t t = panels[kernels::bank_panel_offset(npix, dim, p, d)];
-                out[i * dim + d] += q[i * npix + p] >= t ? 1 : 0;
+                out[i * dim + d] += q[i * npix + p] >= row[d] ? 1 : 0;
             }
         }
     }
@@ -107,50 +110,77 @@ TEST(SimdKernels, PanelOffsetsTileTheBankExactly) {
 }
 
 TEST(SimdKernels, BlockKernelEveryBackendMatchesNaiveOnRaggedGrid) {
-    // npix straddles the 255-pixel u8 counter flush; dims are ragged
-    // against 64-lane vectors and the 256-wide panels; n_images runs past
-    // one 4-image register block plus every remainder. Outputs start
-    // nonzero (+= semantics) and are followed by guard slots no kernel may
-    // touch.
+    // npix straddles the 255-pixel u8 counter flush and the unary-LUT
+    // kernels' 32-pixel carry-save groups (15, 16, 17) and 992-pixel
+    // counter chunks (1025, 4097: counts that carry past the vertical
+    // counter planes); dims are ragged against 32/64-lane vectors and the
+    // 256-wide panels; n_images crosses the 4-image register block, the
+    // 8-image LUT group and its small-remainder fallback. max_value 15 takes
+    // the LUT path, 16 and 127 the compare tiles. Image 2 is all max_value
+    // and image 6 all zero. Outputs start nonzero (+= semantics) and are
+    // followed by guard slots no kernel may touch.
     xoshiro256ss rng(66);
-    constexpr std::size_t max_images = 7;
+    constexpr std::size_t max_images = 64;
     constexpr std::size_t guard = 80;
+    std::vector<std::size_t> counts;
+    for (std::size_t n = 1; n <= 17; ++n) counts.push_back(n);
+    counts.push_back(31);
+    counts.push_back(max_images);
     int trial = 0;
-    for (const std::size_t npix : {1u, 255u, 256u, 784u}) {
-        for (const std::size_t dim : {1u, 63u, 65u, 200u, 256u, 300u, 520u}) {
-            const std::uint8_t max_value = trial++ % 2 == 0 ? 127 : 15;
-            const auto panels = random_bytes(npix * dim, max_value, rng);
-            const auto q = random_bytes(max_images * npix, max_value, rng);
-            std::vector<std::int32_t> expected(max_images * dim + guard, 3);
-            naive_panel_accumulate(q, npix, max_images, panels, dim, expected.data());
+    for (const std::size_t npix : {1u, 15u, 16u, 17u, 255u, 256u, 784u, 1025u, 4097u}) {
+        const std::vector<std::size_t> dims =
+            npix > 1000 ? std::vector<std::size_t>{65, 300}
+                        : std::vector<std::size_t>{1, 63, 65, 200, 256, 300, 520};
+        for (const std::size_t dim : dims) {
+            for (const std::uint8_t max_value :
+                 {std::uint8_t{15}, trial++ % 2 == 0 ? std::uint8_t{16} : std::uint8_t{127}}) {
+                const auto panels = random_bytes(npix * dim, max_value, rng);
+                auto q = random_bytes(max_images * npix, max_value, rng);
+                std::fill_n(q.begin() + 2 * npix, npix, max_value);
+                std::fill_n(q.begin() + 6 * npix, npix, std::uint8_t{0});
+                std::vector<std::int32_t> expected(max_images * dim + guard, 3);
+                naive_panel_accumulate(q, npix, max_images, panels, dim, expected.data());
 
-            for (std::size_t n = 1; n <= max_images; ++n) {
-                const auto check = [&](const char* name, const std::vector<std::int32_t>& got) {
-                    ASSERT_TRUE(std::equal(got.begin(), got.begin() + n * dim,
-                                           expected.begin()))
-                        << name << " npix=" << npix << " dim=" << dim << " n=" << n;
-                    ASSERT_TRUE(std::all_of(got.begin() + n * dim, got.end(),
-                                            [](std::int32_t v) { return v == 3; }))
-                        << name << " wrote past its output, dim=" << dim << " n=" << n;
-                };
-                std::vector<std::int32_t> got(n * dim + guard, 3);
-                simd::geq_block_accumulate_reference(q.data(), npix, n, panels.data(), dim,
-                                                     got.data());
-                check("reference", got);
-                std::fill(got.begin(), got.end(), 3);
-                simd::geq_block_accumulate_swar(q.data(), npix, n, panels.data(), dim,
-                                                got.data());
-                check("swar body", got);
-                for (const kernels::kernel_table* backend : admissible_backends()) {
+                for (const std::size_t n : counts) {
+                    const auto check = [&](const char* name,
+                                           const std::vector<std::int32_t>& got) {
+                        ASSERT_TRUE(std::equal(got.begin(), got.begin() + n * dim,
+                                               expected.begin()))
+                            << name << " npix=" << npix << " dim=" << dim << " n=" << n
+                            << " max_value=" << int(max_value);
+                        ASSERT_TRUE(std::all_of(got.begin() + n * dim, got.end(),
+                                                [](std::int32_t v) { return v == 3; }))
+                            << name << " wrote past its output, dim=" << dim << " n=" << n;
+                    };
+                    std::vector<std::int32_t> got(n * dim + guard, 3);
+                    // The byte-at-a-time reference, the portable SWAR body and
+                    // the scalar table (which runs the reference) at up to 7
+                    // images and at 64: their image loops are not blocked by
+                    // eight, so the larger counts would only add run time.
+                    const bool unblocked_check = n <= 7 || n == max_images;
+                    if (unblocked_check) {
+                        simd::geq_block_accumulate_reference(q.data(), npix, n, panels.data(),
+                                                             dim, got.data());
+                        check("reference", got);
+                        std::fill(got.begin(), got.end(), 3);
+                        simd::geq_block_accumulate_swar(q.data(), npix, n, panels.data(), dim,
+                                                        got.data());
+                        check("swar body", got);
+                    }
+                    for (const kernels::kernel_table* backend : admissible_backends()) {
+                        if (std::string(backend->name) == "scalar" && !unblocked_check) {
+                            continue;
+                        }
+                        std::fill(got.begin(), got.end(), 3);
+                        backend->geq_block_accumulate(q.data(), npix, n, panels.data(), dim,
+                                                      got.data(), max_value);
+                        check(backend->name, got);
+                    }
                     std::fill(got.begin(), got.end(), 3);
-                    backend->geq_block_accumulate(q.data(), npix, n, panels.data(), dim,
+                    kernels::geq_block_accumulate(q.data(), npix, n, panels.data(), dim,
                                                   got.data(), max_value);
-                    check(backend->name, got);
+                    check("dispatched", got);
                 }
-                std::fill(got.begin(), got.end(), 3);
-                kernels::geq_block_accumulate(q.data(), npix, n, panels.data(), dim,
-                                              got.data(), max_value);
-                check("dispatched", got);
             }
         }
     }
@@ -383,6 +413,20 @@ TEST(EncoderEquivalence, EncodeBatchMatchesPerImageEncode) {
         const auto slot = std::span<const std::int32_t>(batched)
                               .subspan(i * enc.dim(), enc.dim());
         ASSERT_TRUE(std::equal(single.begin(), single.end(), slot.begin()));
+    }
+
+    // Calls of 5-8 images: one unary-LUT group, whole or partial, and the
+    // compare-tile remainder of the last call.
+    for (const std::size_t block : {5u, 6u, 7u, 8u}) {
+        std::vector<std::int32_t> blocked(count * enc.dim());
+        for (std::size_t b = 0; b < count; b += block) {
+            const std::size_t n = std::min(block, count - b);
+            enc.encode_batch(
+                std::span<const std::uint8_t>(images).subspan(b * shape.pixels(),
+                                                              n * shape.pixels()),
+                n, std::span<std::int32_t>(blocked).subspan(b * enc.dim(), n * enc.dim()));
+        }
+        ASSERT_EQ(batched, blocked) << "block=" << block;
     }
 
     // Pooled batches are bit-identical regardless of worker count.
