@@ -15,8 +15,10 @@
 //    with UHD_BENCH_IMAGES);
 //  * training on the same MNIST-shaped workload (seed sequential loop vs
 //    the current sequential fit vs the mini-batch parallel engine at
-//    several pool sizes, determinism-gated) -> BENCH_train.json (override
-//    with UHD_BENCH_TRAIN_JSON, workload with UHD_BENCH_TRAIN_IMAGES);
+//    several pool sizes, determinism-gated), plus single-thread
+//    class-histogram training at D=8192 against per-image encode + bundle
+//    (bit-identity gated) -> BENCH_train.json (override with
+//    UHD_BENCH_TRAIN_JSON, workload with UHD_BENCH_TRAIN_IMAGES);
 //  * inference over pre-encoded queries at D=8192 / 10 classes (seed
 //    per-class-cosine path vs the packed associative-memory engine, both
 //    query modes, plus the calibrated dynamic-dimension cascade with its
@@ -439,6 +441,20 @@ void BM_UstFetch(benchmark::State& state) {
 }
 BENCHMARK(BM_UstFetch);
 
+/// Median of `repeats` timed calls of `fn` after one warm-up call.
+template <typename Fn>
+double median_seconds(std::size_t repeats, const Fn& fn) {
+    fn();
+    std::vector<double> seconds;
+    for (std::size_t r = 0; r < repeats; ++r) {
+        stopwatch watch;
+        fn();
+        seconds.push_back(watch.seconds());
+    }
+    std::sort(seconds.begin(), seconds.end());
+    return seconds[seconds.size() / 2];
+}
+
 // --- direct encode-throughput comparison + BENCH_encode.json --------------
 
 /// Shared "backend" block of every BENCH_*.json: which kernel backend the
@@ -690,17 +706,18 @@ int run_encode_throughput() {
 
         // Blocked encode_batch on one thread: one image per call, eight per
         // call, then the whole batch in one call; all must equal the scalar
-        // oracle.
+        // oracle. Each shape reports the rate of its median pass (one
+        // warm-up pass, then five timed ones).
         const std::size_t px = ds.shape().pixels();
         const auto time_calls = [&](std::size_t per_call, std::vector<std::int32_t>& out) {
-            stopwatch watch;
-            for (std::size_t i = 0; i < batch_images; i += per_call) {
-                const std::size_t n = std::min(per_call, batch_images - i);
-                stored.encode_batch(
-                    std::span<const std::uint8_t>(batch_flat).subspan(i * px, n * px), n,
-                    std::span<std::int32_t>(out).subspan(i * d, n * d));
-            }
-            return static_cast<double>(batch_images) / watch.seconds();
+            return static_cast<double>(batch_images) / median_seconds(5, [&] {
+                for (std::size_t i = 0; i < batch_images; i += per_call) {
+                    const std::size_t n = std::min(per_call, batch_images - i);
+                    stored.encode_batch(
+                        std::span<const std::uint8_t>(batch_flat).subspan(i * px, n * px),
+                        n, std::span<std::int32_t>(out).subspan(i * d, n * d));
+                }
+            });
         };
         std::vector<std::int32_t> one_each(batch_images * d);
         std::vector<std::int32_t> eight_each(batch_images * d);
@@ -769,10 +786,20 @@ struct train_entry {
     double speedup_vs_seed;
 };
 
+/// Paper-scale class-histogram training against per-image encode + bundle.
+struct histogram_entry {
+    std::size_t dim = 0;
+    std::size_t images = 0;
+    double per_image_img_per_s = 0.0;
+    double fit_parallel_img_per_s = 0.0;
+    bool identical = false;
+};
+
 void write_train_json(const std::string& path, const data::image_shape& shape,
                       std::size_t dim, unsigned quant_levels, std::size_t images,
                       std::size_t classes, bool deterministic,
-                      const std::vector<train_entry>& entries) {
+                      const std::vector<train_entry>& entries,
+                      const histogram_entry& histogram) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -780,7 +807,7 @@ void write_train_json(const std::string& path, const data::image_shape& shape,
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"train\",\n");
-    std::fprintf(f, "  \"schema_version\": 2,\n");
+    std::fprintf(f, "  \"schema_version\": 3,\n");
     std::fprintf(f,
                  "  \"workload\": {\"rows\": %zu, \"cols\": %zu, \"dim\": %zu, "
                  "\"quant_levels\": %u, \"images\": %zu, \"classes\": %zu},\n",
@@ -797,9 +824,70 @@ void write_train_json(const std::string& path, const data::image_shape& shape,
                      e.name.c_str(), e.threads, e.seconds, e.images_per_s,
                      e.speedup_vs_seed, i + 1 < entries.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f,
+                 "  \"histogram\": {\"pixels\": %zu, \"dim\": %zu, \"images\": %zu, "
+                 "\"threads\": 1, \"per_image_img_per_s\": %.1f, "
+                 "\"fit_parallel_img_per_s\": %.1f, \"speedup\": %.2f, "
+                 "\"identical\": %s}\n",
+                 shape.pixels(), histogram.dim, histogram.images,
+                 histogram.per_image_img_per_s, histogram.fit_parallel_img_per_s,
+                 histogram.fit_parallel_img_per_s / histogram.per_image_img_per_s,
+                 histogram.identical ? "true" : "false");
+    std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("# wrote %s\n", path.c_str());
+}
+
+/// Single-thread training at the paper's 784 pixels x D=8192: per-image
+/// encode (encode_batch in blocks of 64) + bundle into the class
+/// accumulators, against fit_parallel's class-histogram path. The two must
+/// give identical accumulators.
+[[nodiscard]] histogram_entry measure_histogram_training(std::size_t images) {
+    histogram_entry h;
+    h.dim = 8192;
+    h.images = images;
+    const data::dataset ds = data::make_synthetic_digits(images, 8); // 28x28
+    core::uhd_config cfg;
+    cfg.dim = h.dim;
+    const core::uhd_encoder enc(cfg, ds.shape());
+    const std::size_t block = core::uhd_encoder::encode_block_images;
+
+    std::vector<hdc::accumulator> per_image;
+    std::vector<std::int32_t> encoded(block * h.dim);
+    const double per_image_s = median_seconds(3, [&] {
+        per_image.assign(ds.num_classes(), hdc::accumulator(h.dim));
+        for (std::size_t b = 0; b < images; b += block) {
+            const std::size_t n = std::min(block, images - b);
+            enc.encode_batch(ds.images(b, n), n,
+                             std::span<std::int32_t>(encoded).first(n * h.dim));
+            for (std::size_t i = 0; i < n; ++i) {
+                per_image[ds.label(b + i)].add_values(
+                    std::span<const std::int32_t>(encoded).subspan(i * h.dim, h.dim));
+            }
+        }
+    });
+    hdc::hd_classifier<core::uhd_encoder> clf(enc, ds.num_classes(),
+                                              hdc::train_mode::raw_sums);
+    const double fit_s = median_seconds(3, [&] {
+        clf = hdc::hd_classifier<core::uhd_encoder>(enc, ds.num_classes(),
+                                                    hdc::train_mode::raw_sums);
+        clf.fit_parallel(ds, nullptr);
+    });
+    h.identical = true;
+    for (std::size_t c = 0; c < ds.num_classes(); ++c) {
+        const auto a = per_image[c].values();
+        const auto b = clf.class_accumulator(c).values();
+        h.identical = h.identical && std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+    h.per_image_img_per_s = static_cast<double>(images) / per_image_s;
+    h.fit_parallel_img_per_s = static_cast<double>(images) / fit_s;
+    std::printf("class histograms, 28x28, D=%zu, %zu images, 1 thread: per-image "
+                "%.1f img/s, fit_parallel %.1f img/s (%.2fx) %s\n",
+                h.dim, images, h.per_image_img_per_s, h.fit_parallel_img_per_s,
+                h.fit_parallel_img_per_s / h.per_image_img_per_s,
+                h.identical ? "identical" : "DIVERGED");
+    return h;
 }
 
 [[nodiscard]] int run_train_throughput() {
@@ -891,10 +979,17 @@ void write_train_json(const std::string& path, const data::image_shape& shape,
                 best_parallel_speedup,
                 speedup_ok ? "(target >= 4x: PASS)" : "(target >= 4x: MISS)");
 
+    // Paper-scale class-histogram entry: enough images that every class
+    // clears the histogram crossover.
+    const histogram_entry histogram = measure_histogram_training(16 * images_n);
+    if (!histogram.identical) {
+        std::fprintf(stderr, "FAIL: class-histogram fit diverged from per-image bundling\n");
+    }
+
     write_train_json(env_string("UHD_BENCH_TRAIN_JSON", "BENCH_train.json"),
                      ds.shape(), dim, cfg.quant_levels, images_n, ds.num_classes(),
-                     deterministic, entries);
-    return deterministic && speedup_ok ? 0 : 1;
+                     deterministic, entries, histogram);
+    return deterministic && speedup_ok && histogram.identical ? 0 : 1;
 }
 
 // --- direct inference-throughput comparison + BENCH_inference.json --------

@@ -22,13 +22,24 @@
 // it never silently falls back and never executes unsupported
 // instructions.
 //
-// A table has eight kernel slots:
+// A table has nine kernel slots:
 //   * encode — geq_block_accumulate (stored threshold bank) and
 //     geq_rematerialize_accumulate (thresholds regenerated on the fly);
+//   * training — count_table_accumulate, the class-histogram bundling
+//     pass: a sum of thermometer codes is a cumulative histogram, so a
+//     class bundle reads one count per (pixel, dimension) from the class's
+//     cumulative histograms instead of encoding each image;
 //   * associative search — sign_binarize plus the two query-block Hamming
 //     kernels, hamming_block_extend and hamming_block_argmin2_prefix. A
 //     single query is a block of one; there is no separate per-query path;
 //   * integer reductions — sum_squares_i32, dot_i32 and masked_sum_i32.
+//
+// The slot contract, for every backend: accept any size (ragged against
+// vector widths and bank panels, and degenerate ones such as a single
+// pixel or dimension), add into an accumulating output rather than
+// overwrite it, write nothing past the output's end, and fall back
+// internally where a wide path has a value precondition (max_value,
+// levels) instead of miscomputing.
 //
 // Every backend is bit-exact against the scalar reference for the integer
 // kernels, and runs the identical fixed-lane-order algorithm for the
@@ -130,6 +141,27 @@ struct kernel_table {
                                          const std::uint32_t* bounds,
                                          std::size_t npix, std::uint64_t d_begin,
                                          std::size_t dim_count, std::int32_t* out);
+
+    /// Class-histogram bundling pass over the dimension-panel bank, for
+    /// n_tables tables back-to-back: out[i * dim + d] += sum_{p<npix}
+    /// counts[(i * npix + p) * levels + T(p, d)] for every table i in
+    /// [0, n_tables) and d in [0, dim), with T(p, d) =
+    /// panels[bank_panel_offset(npix, dim, p, d)] and every T(p, d) <
+    /// levels. With counts[(i * npix + p) * levels + t] = #{images of class
+    /// i whose pixel p quantizes to >= t} (cumulative histograms), out[i *
+    /// dim + d] gains the sum over those images of geq_block_accumulate's
+    /// count, exactly. Counts are u16, so a caller flushes its histograms
+    /// before any entry passes 65535. Wide backends walk the panels
+    /// outermost so each panel is read once for every table. With levels
+    /// <= 16 the avx2/avx512 tables split each pixel's counts into low- and
+    /// high-byte 16-entry tables, look up 32/64 dimensions per byte shuffle
+    /// and add the bytes into u16 lanes flushed before they can overflow;
+    /// above 16 levels, and on swar, a portable per-dimension gather runs.
+    /// Integer sums: every path is bit-identical.
+    void (*count_table_accumulate)(const std::uint16_t* counts, std::size_t n_tables,
+                                   std::size_t npix, std::size_t levels,
+                                   const std::uint8_t* panels, std::size_t dim,
+                                   std::int32_t* out);
 
     /// Pack the sign bits of an int32 span (bit 1 = v[d] < 0) into
     /// ceil(n/64) words, zeroing the tail bits beyond n.
@@ -235,6 +267,13 @@ inline void geq_rematerialize_accumulate(const std::uint32_t* directions,
                                          std::size_t dim_count, std::int32_t* out) {
     active().geq_rematerialize_accumulate(directions, dir_words, shifts, bounds,
                                           npix, d_begin, dim_count, out);
+}
+
+inline void count_table_accumulate(const std::uint16_t* counts, std::size_t n_tables,
+                                   std::size_t npix, std::size_t levels,
+                                   const std::uint8_t* panels, std::size_t dim,
+                                   std::int32_t* out) {
+    active().count_table_accumulate(counts, n_tables, npix, levels, panels, dim, out);
 }
 
 inline void sign_binarize(const std::int32_t* v, std::size_t n,

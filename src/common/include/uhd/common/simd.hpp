@@ -316,6 +316,63 @@ inline void geq_rematerialize_accumulate_portable(
     }
 }
 
+// --- class-histogram bundling kernels -------------------------------------
+//
+// out[i * dim + d] += sum_{p} counts[(i * npix + p) * levels + T(p, d)] over
+// the panel-major bank: the training pass that reads each class's
+// cumulative histograms (entry t of pixel p counts the class's images whose
+// pixel p reaches level t) once per (pixel, dimension), in place of one
+// compare per (image, pixel, dimension). Every T(p, d) < levels.
+
+/// Pinned scalar oracle: one table read per (table, pixel, dimension),
+/// panel by panel. The scalar backend runs exactly this.
+UHD_SCALAR_REFERENCE inline void count_table_accumulate_reference(
+    const std::uint16_t* counts, std::size_t n_tables, std::size_t npix,
+    std::size_t levels, const std::uint8_t* panels, std::size_t dim,
+    std::int32_t* out) noexcept {
+    for (std::size_t i = 0; i < n_tables; ++i) {
+        for (std::size_t d0 = 0; d0 < dim; d0 += kernels::bank_panel_dims) {
+            const std::size_t width = std::min(kernels::bank_panel_dims, dim - d0);
+            const std::uint8_t* panel = panels + d0 * npix;
+            for (std::size_t p = 0; p < npix; ++p) {
+                const std::uint16_t* table = counts + (i * npix + p) * levels;
+                const std::uint8_t* row = panel + p * width;
+                UHD_NOVECTOR_LOOP
+                for (std::size_t j = 0; j < width; ++j) {
+                    out[i * dim + d0 + j] += table[row[j]];
+                }
+            }
+        }
+    }
+}
+
+/// Portable gather: panels outermost so each panel is read once for every
+/// table, the panel's output slice (at most 256 int32, L1-resident) summed
+/// eight dimensions at a time in independent lanes. Any levels; the swar
+/// backend's body and the wide backends' path above 16 levels.
+inline void count_table_accumulate_portable(const std::uint16_t* counts,
+                                            std::size_t n_tables, std::size_t npix,
+                                            std::size_t levels,
+                                            const std::uint8_t* panels, std::size_t dim,
+                                            std::int32_t* out) noexcept {
+    for (std::size_t d0 = 0; d0 < dim; d0 += kernels::bank_panel_dims) {
+        const std::size_t width = std::min(kernels::bank_panel_dims, dim - d0);
+        const std::uint8_t* panel = panels + d0 * npix;
+        for (std::size_t i = 0; i < n_tables; ++i) {
+            std::int32_t* dst = out + i * dim + d0;
+            for (std::size_t p = 0; p < npix; ++p) {
+                const std::uint16_t* table = counts + (i * npix + p) * levels;
+                const std::uint8_t* row = panel + p * width;
+                std::size_t j = 0;
+                for (; j + 8 <= width; j += 8) {
+                    for (std::size_t k = 0; k < 8; ++k) dst[j + k] += table[row[j + k]];
+                }
+                for (; j < width; ++j) dst[j] += table[row[j]];
+            }
+        }
+    }
+}
+
 // --- sign-binarize kernels ------------------------------------------------
 //
 // Pack the sign bits of an int32 accumulator span into 64-bit words under

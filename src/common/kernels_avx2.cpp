@@ -430,6 +430,166 @@ void geq_rematerialize_accumulate(const std::uint32_t* directions,
     }
 }
 
+// --- class-histogram table kernel -----------------------------------------
+//
+// The AVX-512 backend's design at 256 bits (see kernels_avx512.cpp): with
+// levels <= 16, one vpshufb of 32 stored thresholds through a pixel's
+// low-byte and high-byte count tables (broadcast to both lanes) gives 32
+// dimensions' count bytes, added as u16 words with the odd bytes also
+// summed on their own and taken back out at the flush.
+
+/// Pixels per u16 flush: 256 * 255 < 65536.
+constexpr std::size_t table_chunk_pixels = 256;
+
+/// 32-dimension vectors per slice: four u16 sums each, plus the two
+/// tables and the temporaries, fill the sixteen ymm registers.
+constexpr int table_slice_vectors = 2;
+
+/// Split each pixel's `levels` <= 16 counts into 32 bytes at tables + 32 *
+/// p: 16 low bytes, then 16 high bytes (entries past `levels` are zero and
+/// never looked up). At 16 levels a pixel's counts are one vector: an
+/// in-lane shuffle gathers each lane's low then high bytes, and a qword
+/// permute puts both lanes' lows first.
+void build_count_tables(const std::uint16_t* counts, std::size_t npix,
+                        std::size_t levels, std::uint8_t* tables) {
+    std::size_t p = 0;
+    if (levels == 16) {
+        const __m256i split = _mm256_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11,
+                                               13, 15, 0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7,
+                                               9, 11, 13, 15);
+        for (; p < npix; ++p) {
+            const __m256i c =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(counts + 16 * p));
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i*>(tables + 32 * p),
+                _mm256_permute4x64_epi64(_mm256_shuffle_epi8(c, split), 0xD8));
+        }
+    }
+    for (; p < npix; ++p) {
+        std::uint8_t* t = tables + 32 * p;
+        for (std::size_t k = 0; k < 16; ++k) {
+            const std::uint16_t c = k < levels ? counts[p * levels + k] : 0;
+            t[k] = static_cast<std::uint8_t>(c & 0xFF);
+            t[16 + k] = static_cast<std::uint8_t>(c >> 8);
+        }
+    }
+}
+
+/// Add one vector's sums into dst[0..32): word k of the sums holds
+/// dimensions 2k and 2k+1, so the even and odd counts are widened to int32
+/// and interleaved back into dimension order.
+void table_flush(__m256i lo_sum, __m256i lo_odd, __m256i hi_sum, __m256i hi_odd,
+                 std::int32_t* dst) {
+    const __m256i lo_even = _mm256_sub_epi16(lo_sum, _mm256_slli_epi16(lo_odd, 8));
+    const __m256i hi_even = _mm256_sub_epi16(hi_sum, _mm256_slli_epi16(hi_odd, 8));
+    const auto widen = [](__m256i lo, __m256i hi, int half) {
+        const __m128i l = half == 0 ? _mm256_castsi256_si128(lo)
+                                    : _mm256_extracti128_si256(lo, 1);
+        const __m128i h = half == 0 ? _mm256_castsi256_si128(hi)
+                                    : _mm256_extracti128_si256(hi, 1);
+        return _mm256_add_epi32(_mm256_cvtepu16_epi32(l),
+                                _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 8));
+    };
+    for (int half = 0; half < 2; ++half) {
+        const __m256i even = widen(lo_even, hi_even, half);
+        const __m256i odd = widen(lo_odd, hi_odd, half);
+        // unpack interleaves within 128-bit lanes; the lane permutes put
+        // dimensions 16 * half + [0, 8) and [8, 16) back in order.
+        const __m256i a = _mm256_unpacklo_epi32(even, odd);
+        const __m256i b = _mm256_unpackhi_epi32(even, odd);
+        const __m256i parts[2] = {_mm256_permute2x128_si256(a, b, 0x20),
+                                  _mm256_permute2x128_si256(a, b, 0x31)};
+        for (int k = 0; k < 2; ++k) {
+            __m256i* acc = reinterpret_cast<__m256i*>(dst + 16 * half + 8 * k);
+            _mm256_storeu_si256(acc, _mm256_add_epi32(_mm256_loadu_si256(acc), parts[k]));
+        }
+    }
+}
+
+/// One panel slice of NV 32-dimension vectors: per pixel chunk, look every
+/// pixel's thresholds up in its two byte tables and add the bytes into
+/// four u16 sums per vector, then flush.
+template <int NV>
+void table_tile(const std::uint8_t* tables, std::size_t npix, const std::uint8_t* slice,
+                std::size_t width, std::int32_t* out) {
+    for (std::size_t c0 = 0; c0 < npix; c0 += table_chunk_pixels) {
+        const std::size_t c_end =
+            npix - c0 < table_chunk_pixels ? npix : c0 + table_chunk_pixels;
+        __m256i lo_sum[NV], lo_odd[NV], hi_sum[NV], hi_odd[NV];
+        for (int v = 0; v < NV; ++v) {
+            lo_sum[v] = lo_odd[v] = hi_sum[v] = hi_odd[v] = _mm256_setzero_si256();
+        }
+        const std::uint8_t* row = slice + c0 * width;
+        for (std::size_t p = c0; p < c_end; ++p, row += width) {
+            const __m256i t_lo = _mm256_broadcastsi128_si256(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(tables + 32 * p)));
+            const __m256i t_hi = _mm256_broadcastsi128_si256(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(tables + 32 * p + 16)));
+            for (int v = 0; v < NV; ++v) {
+                const __m256i x =
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 32 * v));
+                const __m256i lo = _mm256_shuffle_epi8(t_lo, x);
+                const __m256i hi = _mm256_shuffle_epi8(t_hi, x);
+                lo_sum[v] = _mm256_add_epi16(lo_sum[v], lo);
+                lo_odd[v] = _mm256_add_epi16(lo_odd[v], _mm256_srli_epi16(lo, 8));
+                hi_sum[v] = _mm256_add_epi16(hi_sum[v], hi);
+                hi_odd[v] = _mm256_add_epi16(hi_odd[v], _mm256_srli_epi16(hi, 8));
+            }
+        }
+        for (int v = 0; v < NV; ++v) {
+            table_flush(lo_sum[v], lo_odd[v], hi_sum[v], hi_odd[v], out + 32 * v);
+        }
+    }
+}
+
+/// The gather over dimensions [j, width) of one panel for one table — the
+/// whole panel for levels > 16, the ragged < 32 tail otherwise (the
+/// portable body, restated for hermeticity).
+void count_table_gather(const std::uint16_t* counts, std::size_t npix, std::size_t levels,
+                        const std::uint8_t* panel, std::size_t width, std::size_t j,
+                        std::int32_t* out) {
+    for (std::size_t p = 0; p < npix; ++p) {
+        const std::uint16_t* table = counts + p * levels;
+        const std::uint8_t* row = panel + p * width;
+        for (std::size_t k = j; k < width; ++k) out[k] += table[row[k]];
+    }
+}
+
+/// Panels outermost so one panel stays cache-resident while every table
+/// streams over it: table_slice_vectors-vector slices, then single
+/// vectors, then the ragged < 32 dimensions through the gather. The byte
+/// tables of every table are built once per call.
+void count_table_accumulate(const std::uint16_t* counts, std::size_t n_tables,
+                            std::size_t npix, std::size_t levels,
+                            const std::uint8_t* panels, std::size_t dim,
+                            std::int32_t* out) {
+    const bool shuffle = levels <= 16;
+    // Table i's pixels follow table i - 1's, so the split runs as one pass.
+    std::uint8_t* tables = shuffle ? thread_scratch(32 * n_tables * npix) : nullptr;
+    if (shuffle) build_count_tables(counts, n_tables * npix, levels, tables);
+    for (std::size_t d0 = 0; d0 < dim; d0 += bank_panel_dims) {
+        const std::size_t width = dim - d0 < bank_panel_dims ? dim - d0 : bank_panel_dims;
+        const std::uint8_t* panel = panels + d0 * npix;
+        for (std::size_t i = 0; i < n_tables; ++i) {
+            std::int32_t* dst = out + i * dim + d0;
+            std::size_t j = 0;
+            if (shuffle) {
+                const std::uint8_t* t = tables + 32 * i * npix;
+                for (; j + 32 * table_slice_vectors <= width; j += 32 * table_slice_vectors) {
+                    table_tile<table_slice_vectors>(t, npix, panel + j, width, dst + j);
+                }
+                for (; j + 32 <= width; j += 32) {
+                    table_tile<1>(t, npix, panel + j, width, dst + j);
+                }
+            }
+            if (j < width) {
+                count_table_gather(counts + i * npix * levels, npix, levels, panel, width,
+                                   j, dst);
+            }
+        }
+    }
+}
+
 // --- sign binarize --------------------------------------------------------
 
 /// movemask over eight int32 lanes yields eight sign bits per load, so one
@@ -683,6 +843,7 @@ constexpr kernel_table table{
     "avx2",            supported,
     geq_block_accumulate,
     geq_rematerialize_accumulate,
+    count_table_accumulate,
     sign_binarize,
     hamming_block_extend,
     hamming_block_argmin2_prefix,

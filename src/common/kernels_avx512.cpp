@@ -483,6 +483,176 @@ void geq_rematerialize_accumulate(const std::uint32_t* directions,
     }
 }
 
+// --- class-histogram table kernel -----------------------------------------
+//
+// With levels <= 16 a pixel's cumulative counts are one 16-entry table of
+// u16, split into a low-byte and a high-byte table. One vpshufb of 64
+// stored thresholds through each gives the 64 dimensions' count bytes.
+// The bytes are added as u16 words, so a word sums dimension 2k's byte
+// plus 256 times dimension 2k+1's; the odd bytes are also summed on their
+// own (shifted down) and taken back out at the flush. Each byte is at most
+// 255, so both sums stay exact for table_chunk_pixels pixels.
+
+/// Pixels per u16 flush: 256 * 255 < 65536.
+constexpr std::size_t table_chunk_pixels = 256;
+
+/// Split each pixel's `levels` <= 16 counts into 32 bytes at tables + 32 *
+/// p: 16 low bytes, then 16 high bytes (entries past `levels` are zero and
+/// never looked up). At 16 levels two pixels' counts are one vector, split
+/// by two word-to-byte narrowings.
+void build_count_tables(const std::uint16_t* counts, std::size_t npix,
+                        std::size_t levels, std::uint8_t* tables) {
+    std::size_t p = 0;
+    if (levels == 16) {
+        for (; p + 2 <= npix; p += 2) {
+            const __m512i c = _mm512_loadu_si512(counts + 16 * p);
+            const __m256i lo = _mm512_cvtepi16_epi8(c);
+            const __m256i hi = _mm512_cvtepi16_epi8(_mm512_srli_epi16(c, 8));
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(tables + 32 * p),
+                                _mm256_permute2x128_si256(lo, hi, 0x20));
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(tables + 32 * p + 32),
+                                _mm256_permute2x128_si256(lo, hi, 0x31));
+        }
+    }
+    for (; p < npix; ++p) {
+        std::uint8_t* t = tables + 32 * p;
+        for (std::size_t k = 0; k < 16; ++k) {
+            const std::uint16_t c = k < levels ? counts[p * levels + k] : 0;
+            t[k] = static_cast<std::uint8_t>(c & 0xFF);
+            t[16 + k] = static_cast<std::uint8_t>(c >> 8);
+        }
+    }
+}
+
+/// Add one vector's sums into dst[0..64), restricted to the lanes set in
+/// `valid`: word k of the sums holds dimensions 2k and 2k+1, so the even
+/// and odd counts are widened to int32 and interleaved back into
+/// dimension order.
+void table_flush(__m512i lo_sum, __m512i lo_odd, __m512i hi_sum, __m512i hi_odd,
+                 __mmask64 valid, std::int32_t* dst) {
+    const __m512i lo_even = _mm512_sub_epi16(lo_sum, _mm512_slli_epi16(lo_odd, 8));
+    const __m512i hi_even = _mm512_sub_epi16(hi_sum, _mm512_slli_epi16(hi_odd, 8));
+    const auto widen = [](__m512i lo, __m512i hi, int half) {
+        const __m256i l = half == 0 ? _mm512_castsi512_si256(lo)
+                                    : _mm512_extracti64x4_epi64(lo, 1);
+        const __m256i h = half == 0 ? _mm512_castsi512_si256(hi)
+                                    : _mm512_extracti64x4_epi64(hi, 1);
+        return _mm512_add_epi32(_mm512_cvtepu16_epi32(l),
+                                _mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 8));
+    };
+    const __m512i first = _mm512_set_epi32(23, 7, 22, 6, 21, 5, 20, 4, 19, 3, 18, 2, 17,
+                                           1, 16, 0);
+    const __m512i second = _mm512_set_epi32(31, 15, 30, 14, 29, 13, 28, 12, 27, 11, 26,
+                                            10, 25, 9, 24, 8);
+    for (int half = 0; half < 2; ++half) {
+        const __m512i even = widen(lo_even, hi_even, half);
+        const __m512i odd = widen(lo_odd, hi_odd, half);
+        const __m512i parts[2] = {_mm512_permutex2var_epi32(even, first, odd),
+                                  _mm512_permutex2var_epi32(even, second, odd)};
+        for (int k = 0; k < 2; ++k) {
+            const int block = 2 * half + k;
+            const auto lanes = static_cast<__mmask16>(valid >> (16 * block));
+            std::int32_t* acc = dst + 16 * block;
+            _mm512_mask_storeu_epi32(
+                acc, lanes,
+                _mm512_add_epi32(_mm512_maskz_loadu_epi32(lanes, acc), parts[k]));
+        }
+    }
+}
+
+/// One panel slice of NV 64-dimension vectors: per pixel chunk, look every
+/// pixel's thresholds up in its two byte tables and add the bytes into
+/// four u16 sums per vector, then flush. With Ragged, the last vector
+/// loads and flushes only the lanes set in `last`.
+template <int NV, bool Ragged>
+void table_tile(const std::uint8_t* tables, std::size_t npix, const std::uint8_t* slice,
+                std::size_t width, __mmask64 last, std::int32_t* out) {
+    for (std::size_t c0 = 0; c0 < npix; c0 += table_chunk_pixels) {
+        const std::size_t c_end =
+            npix - c0 < table_chunk_pixels ? npix : c0 + table_chunk_pixels;
+        __m512i lo_sum[NV], lo_odd[NV], hi_sum[NV], hi_odd[NV];
+        for (int v = 0; v < NV; ++v) {
+            lo_sum[v] = lo_odd[v] = hi_sum[v] = hi_odd[v] = _mm512_setzero_si512();
+        }
+        const std::uint8_t* row = slice + c0 * width;
+        for (std::size_t p = c0; p < c_end; ++p, row += width) {
+            const __m512i t_lo = _mm512_broadcast_i32x4(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(tables + 32 * p)));
+            const __m512i t_hi = _mm512_broadcast_i32x4(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(tables + 32 * p + 16)));
+            for (int v = 0; v < NV; ++v) {
+                const __m512i x = Ragged && v == NV - 1
+                                      ? _mm512_maskz_loadu_epi8(last, row + 64 * v)
+                                      : _mm512_loadu_si512(row + 64 * v);
+                const __m512i lo = _mm512_shuffle_epi8(t_lo, x);
+                const __m512i hi = _mm512_shuffle_epi8(t_hi, x);
+                lo_sum[v] = _mm512_add_epi16(lo_sum[v], lo);
+                lo_odd[v] = _mm512_add_epi16(lo_odd[v], _mm512_srli_epi16(lo, 8));
+                hi_sum[v] = _mm512_add_epi16(hi_sum[v], hi);
+                hi_odd[v] = _mm512_add_epi16(hi_odd[v], _mm512_srli_epi16(hi, 8));
+            }
+        }
+        for (int v = 0; v < NV; ++v) {
+            table_flush(lo_sum[v], lo_odd[v], hi_sum[v], hi_odd[v],
+                        Ragged && v == NV - 1 ? last : ~__mmask64{0}, out + 64 * v);
+        }
+    }
+}
+
+/// The gather for levels > 16 (the portable body, restated for
+/// hermeticity).
+void count_table_gather(const std::uint16_t* counts, std::size_t n_tables,
+                        std::size_t npix, std::size_t levels, const std::uint8_t* panels,
+                        std::size_t dim, std::int32_t* out) {
+    for (std::size_t d0 = 0; d0 < dim; d0 += bank_panel_dims) {
+        const std::size_t width = dim - d0 < bank_panel_dims ? dim - d0 : bank_panel_dims;
+        const std::uint8_t* panel = panels + d0 * npix;
+        for (std::size_t i = 0; i < n_tables; ++i) {
+            for (std::size_t p = 0; p < npix; ++p) {
+                const std::uint16_t* table = counts + (i * npix + p) * levels;
+                const std::uint8_t* row = panel + p * width;
+                for (std::size_t j = 0; j < width; ++j) out[i * dim + d0 + j] += table[row[j]];
+            }
+        }
+    }
+}
+
+/// Panels outermost so one panel stays cache-resident while every table
+/// streams over it: a full panel is one 4-vector slice; a ragged last
+/// panel runs single vectors plus one masked vector for its < 64 trailing
+/// dimensions. The byte tables of every table are built once per call.
+void count_table_accumulate(const std::uint16_t* counts, std::size_t n_tables,
+                            std::size_t npix, std::size_t levels,
+                            const std::uint8_t* panels, std::size_t dim,
+                            std::int32_t* out) {
+    if (levels > 16) {
+        count_table_gather(counts, n_tables, npix, levels, panels, dim, out);
+        return;
+    }
+    // Table i's pixels follow table i - 1's, so the split runs as one pass.
+    std::uint8_t* tables = thread_scratch(32 * n_tables * npix);
+    build_count_tables(counts, n_tables * npix, levels, tables);
+    for (std::size_t d0 = 0; d0 < dim; d0 += bank_panel_dims) {
+        const std::size_t width = dim - d0 < bank_panel_dims ? dim - d0 : bank_panel_dims;
+        const std::uint8_t* panel = panels + d0 * npix;
+        for (std::size_t i = 0; i < n_tables; ++i) {
+            const std::uint8_t* t = tables + 32 * i * npix;
+            std::int32_t* dst = out + i * dim + d0;
+            std::size_t j = 0;
+            for (; j + 256 <= width; j += 256) {
+                table_tile<4, false>(t, npix, panel + j, width, 0, dst + j);
+            }
+            for (; j + 64 <= width; j += 64) {
+                table_tile<1, false>(t, npix, panel + j, width, 0, dst + j);
+            }
+            if (j < width) {
+                const __mmask64 last = (__mmask64{1} << (width - j)) - 1;
+                table_tile<1, true>(t, npix, panel + j, width, last, dst + j);
+            }
+        }
+    }
+}
+
 // --- sign binarize --------------------------------------------------------
 
 /// Sixteen int32 sign bits per compare-to-mask (AVX-512F — no DQ movepi
@@ -643,6 +813,7 @@ constexpr kernel_table table{
     "avx512",          supported,
     geq_block_accumulate,
     geq_rematerialize_accumulate,
+    count_table_accumulate,
     sign_binarize,
     hamming_block_extend,
     hamming_block_argmin2_prefix,

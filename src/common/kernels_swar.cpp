@@ -36,6 +36,16 @@ void geq_rematerialize_accumulate(const std::uint32_t* directions,
                                                 out);
 }
 
+void count_table_accumulate(const std::uint16_t* counts, std::size_t n_tables,
+                            std::size_t npix, std::size_t levels,
+                            const std::uint8_t* panels, std::size_t dim,
+                            std::int32_t* out) {
+    // A byte shuffle has no u64 counterpart; the portable gather is the
+    // generic implementation at every level count.
+    simd::count_table_accumulate_portable(counts, n_tables, npix, levels, panels, dim,
+                                           out);
+}
+
 void sign_binarize(const std::int32_t* v, std::size_t n, std::uint64_t* words) {
     simd::sign_binarize_swar(v, n, words);
 }
@@ -77,6 +87,7 @@ constexpr kernel_table table{
     "swar",            supported,
     geq_block_accumulate,
     geq_rematerialize_accumulate,
+    count_table_accumulate,
     sign_binarize,
     hamming_block_extend,
     hamming_block_argmin2_prefix,

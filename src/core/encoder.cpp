@@ -168,21 +168,40 @@ std::uint8_t uhd_encoder::threshold(std::size_t p, std::size_t d) const {
                              config_.quant_levels);
 }
 
-std::int32_t uhd_encoder::doubled_threshold(std::span<const std::uint8_t> image) const {
-    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
+template <typename Sink>
+std::int32_t uhd_encoder::quantize_pass(const std::uint8_t* image, Sink&& sink) const {
+    const std::size_t pixels = shape_.pixels();
     if (config_.policy == binarize_policy::half_inputs) {
-        return static_cast<std::int32_t>(image.size()); // 2 * (H/2)
+        for (std::size_t p = 0; p < pixels; ++p) sink(p, quantize_intensity(image[p]));
+        return static_cast<std::int32_t>(pixels); // 2 * (H/2)
     }
     // mean_intensity: TOB = sum_p #{d : q_p >= S_p[d]} / D — the exact mean
     // of the per-dimension popcounts, read from the per-pixel CDF tables.
     const unsigned xi = config_.quant_levels;
     std::int64_t reach_sum = 0;
-    for (std::size_t p = 0; p < image.size(); ++p) {
+    for (std::size_t p = 0; p < pixels; ++p) {
         const std::uint8_t q = quantize_intensity(image[p]);
+        sink(p, q);
         reach_sum += cdf_counts_[p * xi + q];
     }
     const std::int64_t d = static_cast<std::int64_t>(config_.dim);
     return static_cast<std::int32_t>((2 * reach_sum + d / 2) / d);
+}
+
+std::int32_t uhd_encoder::doubled_threshold(std::span<const std::uint8_t> image) const {
+    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
+    return quantize_pass(image.data(), [](std::size_t, std::uint8_t) {});
+}
+
+std::int32_t uhd_encoder::count_image(std::span<const std::uint8_t> image,
+                                      std::span<std::uint16_t> counts) const {
+    UHD_REQUIRE(image.size() == shape_.pixels(), "image size mismatch");
+    const std::size_t xi = config_.quant_levels;
+    UHD_REQUIRE(counts.size() == shape_.pixels() * xi, "count table size mismatch");
+    std::uint16_t* table = counts.data();
+    return quantize_pass(image.data(), [table, xi](std::size_t p, std::uint8_t q) {
+        ++table[p * xi + q];
+    });
 }
 
 void uhd_encoder::encode(std::span<const std::uint8_t> image,
@@ -197,6 +216,10 @@ void uhd_encoder::encode_images(const std::uint8_t* images, std::size_t count,
     const std::size_t pixels = shape_.pixels();
     const std::size_t dim = config_.dim;
     std::fill_n(out, count * dim, 0);
+    // Each image's doubled threshold comes out of the quantize pass that
+    // feeds the kernel, so no pixel is quantized twice.
+    static thread_local std::vector<std::int32_t> tau2;
+    tau2.resize(count);
     if (config_.bank == bank_mode::rematerialize) {
         // Fused rematerializing path, one image at a time: translate each
         // pixel's quantized intensity into a raw-fraction bound (state <=
@@ -207,17 +230,18 @@ void uhd_encoder::encode_images(const std::uint8_t* images, std::size_t count,
         // bit-identical.
         static thread_local std::vector<std::uint32_t> pixel_bounds;
         pixel_bounds.resize(pixels);
+        std::uint32_t* bounds = pixel_bounds.data();
         constexpr std::size_t tile = 4096;
         for (std::size_t i = 0; i < count; ++i) {
-            const std::uint8_t* image = images + i * pixels;
-            for (std::size_t p = 0; p < pixels; ++p) {
-                pixel_bounds[p] = bound_table_[quantize_intensity(image[p])];
-            }
+            tau2[i] = quantize_pass(images + i * pixels,
+                                    [this, bounds](std::size_t p, std::uint8_t q) {
+                                        bounds[p] = bound_table_[q];
+                                    });
             for (std::size_t d0 = 0; d0 < dim; d0 += tile) {
                 const std::size_t n = std::min(tile, dim - d0);
                 kernels::geq_rematerialize_accumulate(remat_dirs_.data(), dir_words_,
-                                                      shifts_.data(), pixel_bounds.data(),
-                                                      pixels, d0, n, out + i * dim + d0);
+                                                      shifts_.data(), bounds, pixels, d0,
+                                                      n, out + i * dim + d0);
             }
         }
     } else {
@@ -233,18 +257,18 @@ void uhd_encoder::encode_images(const std::uint8_t* images, std::size_t count,
         for (std::size_t b = 0; b < count; b += encode_block_images) {
             const std::size_t n = std::min(encode_block_images, count - b);
             quantized.resize(n * pixels);
-            const std::uint8_t* block = images + b * pixels;
-            for (std::size_t k = 0; k < n * pixels; ++k) {
-                quantized[k] = quantize_intensity(block[k]);
+            for (std::size_t i = 0; i < n; ++i) {
+                std::uint8_t* q = quantized.data() + i * pixels;
+                tau2[b + i] = quantize_pass(images + (b + i) * pixels,
+                                            [q](std::size_t p, std::uint8_t v) { q[p] = v; });
             }
             kernels::geq_block_accumulate(quantized.data(), pixels, n, panels_.data(),
                                           dim, out + b * dim, max_value);
         }
     }
     for (std::size_t i = 0; i < count; ++i) {
-        const std::int32_t tau2 = doubled_threshold({images + i * pixels, pixels});
         std::int32_t* acc = out + i * dim;
-        for (std::size_t d = 0; d < dim; ++d) acc[d] = 2 * acc[d] - tau2;
+        for (std::size_t d = 0; d < dim; ++d) acc[d] = 2 * acc[d] - tau2[i];
     }
 }
 

@@ -137,6 +137,17 @@ public:
     [[nodiscard]] std::int32_t doubled_threshold(
         std::span<const std::uint8_t> image) const;
 
+    /// One quantize pass over `image` for class-histogram training: add one
+    /// to counts[p * quant_levels + q(x_p)] for every pixel p and return the
+    /// image's doubled_threshold() from the same pass. `counts` holds
+    /// pixels() x quant_levels u16 entries; the caller keeps every entry
+    /// below 65536. A class's sum of encode() outputs is then
+    /// 2 * sum_p H[p][S_p[d]] minus the sum of the returned thresholds,
+    /// where H[p][t] counts the class's images whose pixel p reaches level
+    /// t (see kernels::count_table_accumulate).
+    std::int32_t count_image(std::span<const std::uint8_t> image,
+                             std::span<std::uint16_t> counts) const;
+
     /// Unary datapath. monotone_fast exploits the thermometer-code identity
     /// value(stream) = popcount(stream), collapsing the Fig. 4 comparator
     /// to the same quantized integer compare as encode() — O(H * D).
@@ -235,6 +246,11 @@ private:
     // encode() / encode_batch() body for `count` back-to-back images.
     void encode_images(const std::uint8_t* images, std::size_t count,
                        std::int32_t* out) const;
+    // The one quantize pass every encode path shares: sink(p, q(x_p)) for
+    // each pixel, returning the image's doubled threshold (2 * TOB) read
+    // from the same loop.
+    template <typename Sink>
+    std::int32_t quantize_pass(const std::uint8_t* image, Sink&& sink) const;
 };
 
 } // namespace uhd::core

@@ -38,9 +38,10 @@
 //
 // Training scales two ways beyond the sequential fit() loop:
 // * fit_parallel — the mini-batch thread-parallel engine (hdc/trainer.hpp):
-//   per-worker class accumulators filled through the encoder's batch path
-//   and reduced in fixed class/lane order, bit-identical to fit() for any
-//   thread count.
+//   per-worker class accumulators filled from class histograms (raw_sums
+//   over a stored bank) or through the encoder's batch path, and reduced
+//   in fixed class/lane order, bit-identical to fit() for any thread
+//   count.
 // * retrain(train, epochs, pool) — mini-batch parallel perceptron epochs
 //   (binarized mode; bit-identical to the sequential retrain).
 // Inference scales down as well as out: predict_dynamic answers queries
@@ -119,8 +120,9 @@ public:
 
     /// Mini-batch thread-parallel fit (the batch training engine): the set
     /// is split into one contiguous chunk per pool lane, each chunk bundled
-    /// into private per-class accumulators through the encoder's batch
-    /// path, and the lane sets reduced in fixed class/lane order. The
+    /// into private per-class accumulators (from class histograms in
+    /// raw_sums mode over a stored bank, else through the encoder's batch
+    /// path), and the lane sets reduced in fixed class/lane order. The
     /// trained state is bit-identical to fit() for every thread count and
     /// batch size — the same determinism contract as predict_batch.
     void fit_parallel(const data::dataset& train, thread_pool* pool = nullptr,

@@ -205,6 +205,104 @@ TEST(SimdKernels, BlockKernelFullByteRangeOnEveryBackend) {
     }
 }
 
+/// Independent in-test oracle for the class-histogram pass: one table read
+/// per (table, pixel, dimension) through the panel offsets, no kernels
+/// involved.
+void naive_count_table(const std::vector<std::uint16_t>& counts, std::size_t n_tables,
+                       std::size_t npix, std::size_t levels,
+                       const std::vector<std::uint8_t>& panels, std::size_t dim,
+                       std::int32_t* out) {
+    for (std::size_t i = 0; i < n_tables; ++i) {
+        for (std::size_t p = 0; p < npix; ++p) {
+            for (std::size_t d = 0; d < dim; ++d) {
+                out[i * dim + d] +=
+                    counts[(i * npix + p) * levels +
+                           panels[kernels::bank_panel_offset(npix, dim, p, d)]];
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, CountTableEveryBackendMatchesReferenceOnRaggedGrid) {
+    // npix straddles the wide kernels' 256-pixel u16 flush (255, 256, 257)
+    // and their two-pixel table split (odd counts); dims are ragged against
+    // 32/64-lane vectors and the 256-wide panels; levels 2 and 16 take the
+    // byte-shuffle path, 17 and 256 the gather; one table and three. Every
+    // pixel's counts cycle through 0, 255, 256, 65535 and random values
+    // (the low/high byte-plane carries), and every fifth pixel is all 65535.
+    // Outputs start nonzero (+= semantics) and are followed by guard slots
+    // no kernel may touch.
+    xoshiro256ss rng(77);
+    constexpr std::size_t guard = 80;
+    constexpr std::uint16_t specials[] = {0, 255, 256, 65535};
+    for (const std::size_t npix : {1u, 15u, 16u, 17u, 255u, 256u, 257u, 784u, 1025u}) {
+        for (const std::size_t dim : {1u, 63u, 65u, 200u, 256u, 300u, 520u}) {
+            for (const std::size_t levels : {2u, 16u, 17u, 256u}) {
+                const std::size_t n_tables = (npix + dim + levels) % 2 == 0 ? 1 : 3;
+                std::vector<std::uint16_t> counts(n_tables * npix * levels);
+                for (std::size_t k = 0; k < counts.size(); ++k) {
+                    const std::uint64_t r = rng.next();
+                    counts[k] = (k / levels) % 5 == 0 ? 65535
+                                : r % 3 == 0          ? specials[(r >> 8) % 4]
+                                                      : static_cast<std::uint16_t>(r >> 16);
+                }
+                const auto panels = random_bytes(
+                    npix * dim, static_cast<std::uint8_t>(levels - 1), rng);
+                const std::size_t n_out = n_tables * dim;
+                std::vector<std::int32_t> expected(n_out + guard, 3);
+                naive_count_table(counts, n_tables, npix, levels, panels, dim,
+                                  expected.data());
+
+                std::vector<std::int32_t> got(n_out + guard, 3);
+                simd::count_table_accumulate_reference(counts.data(), n_tables, npix, levels,
+                                                       panels.data(), dim, got.data());
+                ASSERT_EQ(expected, got) << "reference npix=" << npix << " dim=" << dim
+                                         << " levels=" << levels;
+                std::fill(got.begin(), got.end(), 3);
+                simd::count_table_accumulate_portable(counts.data(), n_tables, npix, levels,
+                                                      panels.data(), dim, got.data());
+                ASSERT_EQ(expected, got) << "portable npix=" << npix << " dim=" << dim
+                                         << " levels=" << levels;
+                for (const kernels::kernel_table* backend : admissible_backends()) {
+                    std::fill(got.begin(), got.end(), 3);
+                    backend->count_table_accumulate(counts.data(), n_tables, npix, levels,
+                                                    panels.data(), dim, got.data());
+                    ASSERT_EQ(expected, got) << backend->name << " npix=" << npix
+                                             << " dim=" << dim << " levels=" << levels;
+                }
+                std::fill(got.begin(), got.end(), 3);
+                kernels::count_table_accumulate(counts.data(), n_tables, npix, levels,
+                                                panels.data(), dim, got.data());
+                ASSERT_EQ(expected, got) << "dispatched npix=" << npix << " dim=" << dim
+                                         << " levels=" << levels;
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, CountTableSaturatedCountsOnEveryBackend) {
+    // Every count 65535: each byte plane holds 255 in every lane of a full
+    // 256-pixel chunk, the largest sum the u16 lanes must carry exactly.
+    xoshiro256ss rng(78);
+    for (const std::size_t npix : {256u, 257u, 1025u}) {
+        for (const std::size_t levels : {16u, 17u}) {
+            const std::size_t dim = 300;
+            const std::vector<std::uint16_t> counts(2 * npix * levels, 65535);
+            const auto panels =
+                random_bytes(npix * dim, static_cast<std::uint8_t>(levels - 1), rng);
+            const std::vector<std::int32_t> expected(
+                2 * dim, static_cast<std::int32_t>(65535 * npix));
+            for (const kernels::kernel_table* backend : admissible_backends()) {
+                std::vector<std::int32_t> got(2 * dim, 0);
+                backend->count_table_accumulate(counts.data(), 2, npix, levels,
+                                                panels.data(), dim, got.data());
+                EXPECT_EQ(expected, got) << backend->name << " npix=" << npix
+                                         << " levels=" << levels;
+            }
+        }
+    }
+}
+
 TEST(SimdKernels, TileFlushAddsIntoAccumulator) {
     const std::vector<std::uint16_t> tile = {0, 1, 65535, 300};
     std::vector<std::int32_t> acc = {5, -5, 1, 0};

@@ -2,8 +2,12 @@
 // bit-identical to the sequential fit() for every thread count, batch size,
 // chunking, and train_mode (class accumulators AND packed class rows), and
 // the pool retrain overload must match the sequential retrain exactly.
+// The class-histogram raw_sums path (stored bank) is held to the same
+// per-image fit() oracle across banks, policies, levels, dimensions, pool
+// sizes, empty and single-image classes, and u16 count flushes.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "uhd/common/thread_pool.hpp"
@@ -202,6 +206,142 @@ TEST(Trainer, IntegerModeParallelRetrainFallsBackToSequential) {
     const std::size_t updates_par = pooled.retrain(train, 1, &pool);
     EXPECT_EQ(updates_seq, updates_par);
     expect_identical_state(sequential, pooled);
+}
+
+/// `per_class` images of each class 0..full_classes-1 in label order
+/// (so every lane of a split sees at most two classes), then one image of
+/// class full_classes; classes above it get none. Random intensities.
+data::dataset clustered_set(data::image_shape shape, std::size_t classes,
+                            std::size_t full_classes, std::size_t per_class,
+                            std::uint64_t seed) {
+    data::dataset set(shape, classes);
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint8_t> img(shape.values());
+    const auto add = [&](std::size_t label) {
+        for (auto& v : img) v = static_cast<std::uint8_t>(rng());
+        set.add(img, label);
+    };
+    for (std::size_t c = 0; c < full_classes; ++c) {
+        for (std::size_t i = 0; i < per_class; ++i) add(c);
+    }
+    add(full_classes);
+    return set;
+}
+
+/// True when every lane of an n-image split over `lanes` lanes (the
+/// trainer's contiguous partition) takes the class-histogram path.
+template <typename Encoder>
+bool all_lanes_use_histograms(const batch_trainer<Encoder>& trainer,
+                              const data::dataset& set, std::size_t lanes) {
+    const std::size_t n = set.size();
+    const std::size_t base = n / lanes;
+    const std::size_t extra = n % lanes;
+    for (std::size_t c = 0; c < lanes; ++c) {
+        const std::size_t begin = c * base + (c < extra ? c : extra);
+        const std::size_t end = begin + base + (c < extra ? 1 : 0);
+        if (!trainer.uses_class_histograms(set, begin, end)) return false;
+    }
+    return true;
+}
+
+TEST(Trainer, ClassHistogramsMatchFitAcrossLevelsAndDimensions) {
+    // D = 64 is the encoder's smallest dimension; 65 and 200 leave ragged
+    // vectors and a ragged packed tail; levels 2 and 16 take the wide
+    // backends' byte shuffle, 17 and 256 the gather.
+    const data::image_shape shape{8, 8, 1};
+    const auto train = clustered_set(shape, 10, 8, 24, 21);
+    for (const unsigned levels : {2u, 16u, 17u, 256u}) {
+        for (const std::size_t dim : {64u, 65u, 200u, 1024u}) {
+            core::uhd_config cfg;
+            cfg.dim = dim;
+            cfg.quant_levels = levels;
+            const core::uhd_encoder enc(cfg, shape);
+            hd_classifier<core::uhd_encoder> sequential(enc, 10, train_mode::raw_sums);
+            sequential.fit(train);
+
+            const batch_trainer<core::uhd_encoder> trainer(enc, 10, train_mode::raw_sums);
+            ASSERT_TRUE(all_lanes_use_histograms(trainer, train, 3));
+            thread_pool pool(2);
+            hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums);
+            clf.fit_parallel(train, &pool);
+            SCOPED_TRACE("levels " + std::to_string(levels) + " dim " + std::to_string(dim));
+            expect_identical_state(sequential, clf);
+        }
+    }
+}
+
+TEST(Trainer, ClassHistogramsMatchFitAcrossBanksPoliciesAndPools) {
+    // The remat bank has no stored panels and keeps the per-image path; it
+    // must still match. Class 8 holds one image and class 9 none.
+    const data::image_shape shape{8, 8, 1};
+    const auto train = clustered_set(shape, 10, 8, 24, 22);
+    for (const uhd::bank_mode bank : {uhd::bank_mode::stored, uhd::bank_mode::rematerialize}) {
+        for (const core::binarize_policy policy :
+             {core::binarize_policy::half_inputs, core::binarize_policy::mean_intensity}) {
+            core::uhd_config cfg;
+            cfg.dim = 200;
+            cfg.bank = bank;
+            cfg.policy = policy;
+            const core::uhd_encoder enc(cfg, shape);
+            hd_classifier<core::uhd_encoder> sequential(enc, 10, train_mode::raw_sums);
+            sequential.fit(train);
+            const batch_trainer<core::uhd_encoder> trainer(enc, 10, train_mode::raw_sums);
+            EXPECT_EQ(all_lanes_use_histograms(trainer, train, 8),
+                      bank == uhd::bank_mode::stored);
+
+            {
+                hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums);
+                clf.fit_parallel(train, nullptr);
+                expect_identical_state(sequential, clf);
+            }
+            for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+                thread_pool pool(workers);
+                hd_classifier<core::uhd_encoder> clf(enc, 10, train_mode::raw_sums);
+                clf.fit_parallel(train, &pool);
+                expect_identical_state(sequential, clf);
+            }
+        }
+    }
+}
+
+TEST(Trainer, ClassHistogramsFlushBeforeU16Overflow) {
+    // 70000 images of class 0 in one lane: the u16 counts must be flushed
+    // before they wrap. Tiny 1x2-pixel images keep the fit() oracle cheap.
+    const data::image_shape shape{1, 2, 1};
+    const auto train = clustered_set(shape, 3, 1, 70000, 23);
+    for (const unsigned levels : {2u, 16u}) {
+        core::uhd_config cfg;
+        cfg.dim = 65;
+        cfg.quant_levels = levels;
+        const core::uhd_encoder enc(cfg, shape);
+        hd_classifier<core::uhd_encoder> sequential(enc, 3, train_mode::raw_sums);
+        sequential.fit(train);
+        const batch_trainer<core::uhd_encoder> trainer(enc, 3, train_mode::raw_sums);
+        ASSERT_TRUE(trainer.uses_class_histograms(train, 0, train.size()));
+        hd_classifier<core::uhd_encoder> clf(enc, 3, train_mode::raw_sums);
+        clf.fit_parallel(train, nullptr);
+        expect_identical_state(sequential, clf);
+    }
+}
+
+TEST(Trainer, ClassHistogramsOnlyForRawSumsOnStoredBanks) {
+    const data::image_shape shape{8, 8, 1};
+    const auto train = clustered_set(shape, 10, 8, 24, 24);
+    core::uhd_config cfg;
+    cfg.dim = 128;
+    const core::uhd_encoder enc(cfg, shape);
+    EXPECT_TRUE(batch_trainer<core::uhd_encoder>(enc, 10, train_mode::raw_sums)
+                    .uses_class_histograms(train, 0, train.size()));
+    EXPECT_FALSE(batch_trainer<core::uhd_encoder>(enc, 10, train_mode::binarized_images)
+                     .uses_class_histograms(train, 0, train.size()));
+    // Below the images-per-class crossover a lane encodes per image.
+    EXPECT_FALSE(batch_trainer<core::uhd_encoder>(enc, 10, train_mode::raw_sums)
+                     .uses_class_histograms(train, 0, 4));
+    baseline_config bcfg;
+    bcfg.dim = 128;
+    const baseline_encoder benc(bcfg, shape);
+    EXPECT_FALSE(batch_trainer<baseline_encoder>(benc, 10, train_mode::raw_sums)
+                     .uses_class_histograms(train, 0, train.size()));
 }
 
 } // namespace
